@@ -145,7 +145,8 @@ ChurnService::Result ChurnService::allocate_connection(const ConnectionSpec& spe
 }
 
 ChurnService::Result ChurnService::preempt_and_retry(const ConnectionSpec& spec,
-                                                     AllocatedConnection* out) {
+                                                     AllocatedConnection* out,
+                                                     bool new_connection) {
   Result r{ChurnStatus::kRejectedNoRoute, 0};
   const bool multicast = spec.dst_nis.size() > 1;
   if (multicast) return r; // plan_preemption is unicast-only
@@ -176,30 +177,64 @@ ChurnService::Result ChurnService::preempt_and_retry(const ConnectionSpec& spec,
       const auto it = std::lower_bound(victims.begin(), victims.end(), id);
       if (it == victims.end() || *it != id) victims.insert(it, id);
     }
-    for (std::uint64_t id : victims) preempt_connection(id);
+    for (std::uint64_t id : victims) {
+      metrics_.preemptions.inc();
+      last_preempted_.push_back(id);
+      remove(conns_.find(id));
+    }
 
-    r = allocate_connection(spec, out);
+    r = allocate_connection(spec, out, new_connection);
     if (r.status != ChurnStatus::kRejectedNoRoute) break;
   }
   return r;
 }
 
-void ChurnService::preempt_connection(std::uint64_t id) {
-  const auto it = conns_.find(id);
-  assert(it != conns_.end());
-  metrics_.preemptions.inc();
-  channel_owner_.erase(it->second.request.channel);
-  alloc_->release(it->second.request);
-  if (it->second.has_response) {
-    channel_owner_.erase(it->second.response.channel);
-    alloc_->release(it->second.response);
+void ChurnService::insert_live(std::uint64_t id, AllocatedConnection conn) {
+  conn.id = static_cast<tdm::ConnectionId>(id);
+  live_index_[id] = live_order_.size();
+  live_order_.push_back(id);
+  own_channels(id, conn);
+  ++live_by_class_[static_cast<std::size_t>(conn.spec.service_class)];
+  conns_.emplace(id, std::move(conn));
+}
+
+void ChurnService::own_channels(std::uint64_t id, const AllocatedConnection& c) {
+  channel_owner_[c.request.channel] = id;
+  if (c.has_response) channel_owner_[c.response.channel] = id;
+}
+
+void ChurnService::release_channels(const AllocatedConnection& c) {
+  channel_owner_.erase(c.request.channel);
+  alloc_->release(c.request);
+  if (c.has_response) {
+    channel_owner_.erase(c.response.channel);
+    alloc_->release(c.response);
   }
+}
+
+void ChurnService::remove(ConnMap::iterator it) {
+  assert(it != conns_.end());
+  release_channels(it->second);
   const std::size_t idx = static_cast<std::size_t>(it->second.spec.service_class);
   assert(live_by_class_[idx] > 0);
   --live_by_class_[idx];
-  last_preempted_.push_back(id);
-  unlink_live(id);
+  unlink_live(it->first);
   conns_.erase(it);
+}
+
+bool ChurnService::restore_or_drop(ConnMap::iterator it, const AllocatedConnection& old) {
+  // The failed or rejected attempt released its own partial state, so
+  // old's slots are free again and the restore cannot fail unless an
+  // external actor raced us.
+  if (restore_connection(*alloc_, old)) {
+    own_channels(it->first, old);
+    return true;
+  }
+  // The connection is gone; dropping it from the live set keeps the
+  // bookkeeping truthful instead of leaving a dangling id.
+  metrics_.rollback_failures.inc();
+  remove(it);
+  return false;
 }
 
 ChurnService::Result ChurnService::set_up(const ConnectionSpec& spec) {
@@ -209,23 +244,15 @@ ChurnService::Result ChurnService::set_up(const ConnectionSpec& spec) {
   Result r = allocate_connection(spec, &conn);
   if (r.status == ChurnStatus::kRejectedNoRoute && admission_.preempt_best_effort &&
       spec.service_class == ServiceClass::kGuaranteed) {
-    r = preempt_and_retry(spec, &conn);
+    r = preempt_and_retry(spec, &conn, /*new_connection=*/true);
   }
   switch (r.status) {
-    case ChurnStatus::kAdmitted: {
+    case ChurnStatus::kAdmitted:
       metrics_.admitted.inc();
       metrics_.admitted_hops.add(conn.request.edges.size());
-      const std::uint64_t id = next_id_++;
-      conn.id = static_cast<tdm::ConnectionId>(id);
-      r.connection = id;
-      live_index_[id] = live_order_.size();
-      live_order_.push_back(id);
-      channel_owner_[conn.request.channel] = id;
-      if (conn.has_response) channel_owner_[conn.response.channel] = id;
-      ++live_by_class_[static_cast<std::size_t>(spec.service_class)];
-      conns_.emplace(id, std::move(conn));
+      r.connection = next_id_++;
+      insert_live(r.connection, std::move(conn));
       break;
-    }
     case ChurnStatus::kRejectedAdmission:
       metrics_.rejected_admission.inc();
       break;
@@ -237,21 +264,18 @@ ChurnService::Result ChurnService::set_up(const ConnectionSpec& spec) {
   return r;
 }
 
+ChurnService::Result ChurnService::adopt(const AllocatedConnection& conn) {
+  if (!restore_connection(*alloc_, conn)) return {ChurnStatus::kRejectedNoRoute, 0};
+  const std::uint64_t id = next_id_++;
+  insert_live(id, conn);
+  return {ChurnStatus::kAdmitted, id};
+}
+
 ChurnStatus ChurnService::tear_down(std::uint64_t id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return ChurnStatus::kUnknownConnection;
   metrics_.teardowns.inc();
-  channel_owner_.erase(it->second.request.channel);
-  alloc_->release(it->second.request);
-  if (it->second.has_response) {
-    channel_owner_.erase(it->second.response.channel);
-    alloc_->release(it->second.response);
-  }
-  const std::size_t idx = static_cast<std::size_t>(it->second.spec.service_class);
-  assert(live_by_class_[idx] > 0);
-  --live_by_class_[idx];
-  unlink_live(id);
-  conns_.erase(it);
+  remove(it);
   return ChurnStatus::kAdmitted;
 }
 
@@ -264,12 +288,7 @@ ChurnService::Result ChurnService::modify(std::uint64_t id, std::uint32_t reques
   // Transactional: release the old reservations, allocate the new
   // bandwidth under admission control, restore exactly on failure.
   const AllocatedConnection old = it->second;
-  channel_owner_.erase(old.request.channel);
-  alloc_->release(old.request);
-  if (old.has_response) {
-    channel_owner_.erase(old.response.channel);
-    alloc_->release(old.response);
-  }
+  release_channels(old);
 
   ConnectionSpec spec = old.spec;
   spec.request_slots = request_slots;
@@ -279,34 +298,36 @@ ChurnService::Result ChurnService::modify(std::uint64_t id, std::uint32_t reques
   Result r = allocate_connection(spec, &fresh, /*new_connection=*/false);
   if (r.status == ChurnStatus::kAdmitted) {
     fresh.id = old.id;
-    channel_owner_[fresh.request.channel] = id;
-    if (fresh.has_response) channel_owner_[fresh.response.channel] = id;
+    own_channels(id, fresh);
     it->second = std::move(fresh);
     r.connection = id;
     return r;
   }
-  // Roll back: the failed allocation released its own partial state, so
-  // the old routes' slots are free again and restore cannot fail unless an
-  // external actor raced us. Request and response restore as a unit (the
-  // same order-safety rule the use-case switch roll-back follows).
-  bool restored = alloc_->restore(old.request);
-  if (restored && old.has_response && !alloc_->restore(old.response)) {
-    alloc_->release(old.request);
-    restored = false;
+  if (restore_or_drop(it, old)) metrics_.modify_failed_restored.inc();
+  return r;
+}
+
+ChurnService::Result ChurnService::reroute(std::uint64_t id) {
+  last_preempted_.clear();
+  auto it = conns_.find(id);
+  if (it == conns_.end()) return {ChurnStatus::kUnknownConnection, 0};
+  release_channels(it->second);
+  const ConnectionSpec& spec = it->second.spec;
+  AllocatedConnection fresh;
+  Result r = allocate_connection(spec, &fresh, /*new_connection=*/false);
+  if (r.status == ChurnStatus::kRejectedNoRoute && admission_.preempt_best_effort &&
+      spec.service_class == ServiceClass::kGuaranteed) {
+    // Victims leave conns_, which keeps `it` valid.
+    r = preempt_and_retry(spec, &fresh, /*new_connection=*/false);
   }
-  if (restored) {
-    metrics_.modify_failed_restored.inc();
-    channel_owner_[old.request.channel] = id;
-    if (old.has_response) channel_owner_[old.response.channel] = id;
-  } else {
-    // The connection is gone; dropping it from the live set keeps the
-    // bookkeeping truthful instead of leaving a dangling id.
-    metrics_.rollback_failures.inc();
-    const std::size_t idx = static_cast<std::size_t>(old.spec.service_class);
-    if (live_by_class_[idx] > 0) --live_by_class_[idx];
-    unlink_live(id);
-    conns_.erase(it);
+  if (r.status != ChurnStatus::kAdmitted) {
+    remove(it);
+    return r;
   }
+  fresh.id = it->second.id;
+  own_channels(id, fresh);
+  it->second = std::move(fresh);
+  r.connection = id;
   return r;
 }
 
@@ -374,18 +395,12 @@ ChurnService::CompactionResult ChurnService::compact(std::size_t max_moves) {
 
     // Close-before-open at the allocator level: free the old reservations,
     // re-allocate first-fit, keep only a strict improvement.
-    channel_owner_.erase(old.request.channel);
-    alloc_->release(old.request);
-    if (old.has_response) {
-      channel_owner_.erase(old.response.channel);
-      alloc_->release(old.response);
-    }
+    release_channels(old);
     AllocatedConnection fresh;
     const Result r = allocate_connection(old.spec, &fresh, /*new_connection=*/false);
     if (r.status == ChurnStatus::kAdmitted && packing_score(fresh) < packing_score(old)) {
       fresh.id = old.id;
-      channel_owner_[fresh.request.channel] = id;
-      if (fresh.has_response) channel_owner_[fresh.response.channel] = id;
+      own_channels(id, fresh);
       // Audit trail: who moved, from which slots to which slots.
       fnv_mix(res.digest, id);
       fnv_mix_route(res.digest, old.request);
@@ -394,28 +409,14 @@ ChurnService::CompactionResult ChurnService::compact(std::size_t max_moves) {
       if (fresh.has_response) fnv_mix_route(res.digest, fresh.response);
       it->second = std::move(fresh);
       ++res.moved;
+      res.moves.push_back(id);
       continue;
     }
     if (r.status == ChurnStatus::kAdmitted) {
       alloc_->release(fresh.request);
       if (fresh.has_response) alloc_->release(fresh.response);
     }
-    // Its own slots are free again, so the restore cannot fail.
-    bool restored = alloc_->restore(old.request);
-    if (restored && old.has_response && !alloc_->restore(old.response)) {
-      alloc_->release(old.request);
-      restored = false;
-    }
-    if (restored) {
-      channel_owner_[old.request.channel] = id;
-      if (old.has_response) channel_owner_[old.response.channel] = id;
-    } else {
-      metrics_.rollback_failures.inc();
-      const std::size_t idx = static_cast<std::size_t>(old.spec.service_class);
-      if (live_by_class_[idx] > 0) --live_by_class_[idx];
-      unlink_live(id);
-      conns_.erase(it);
-    }
+    restore_or_drop(it, old);
   }
   alloc_->set_slot_policy(saved);
   return res;

@@ -105,7 +105,11 @@ struct ClassStats {
   sim::Histogram latency_cycles{64}; ///< worst-case latency of admitted request routes
 };
 
-/// A long-running connection-request service over one live allocator.
+/// A long-running connection-request service over one live allocator —
+/// the one owner of live reservations for both of its callers: run_churn
+/// below (open-loop request streams) and the recovery runner
+/// (soc::run_scenario), which adopts the dimensioned allocation and
+/// drives every repair, preemption and compaction through here.
 /// Connections are bidirectional like the use-case layer's (request
 /// channel plus, for unicast specs with response_slots > 0, a response
 /// channel); multicast requests carry no response.
@@ -129,10 +133,24 @@ class ChurnService {
   /// Change a live connection's bandwidth. Transactional: the old
   /// reservations are released, the new request is allocated under the
   /// same admission rules, and on any failure the old reservations are
-  /// restored exactly (same ChannelIds — the restore path the switching
-  /// roll-back uses).
+  /// restored exactly (same ChannelIds — restore_connection, as the
+  /// switching roll-back does).
   Result modify(std::uint64_t connection, std::uint32_t request_slots,
                 std::uint32_t response_slots);
+
+  /// Take over a connection routed elsewhere (a dimensioned allocation):
+  /// restore its request and response as a unit and register it under the
+  /// next id, so adopting a list in order numbers it 0, 1, 2, ...
+  /// kRejectedNoRoute (nothing registered) if a reservation is taken.
+  Result adopt(const AllocatedConnection& conn);
+
+  /// Route a live connection again under its own spec, keeping its id —
+  /// the repair of a connection whose route crosses a quarantined link.
+  /// Both channels are released and re-allocated; a guaranteed connection
+  /// that finds no route preempts best-effort ones when
+  /// AdmissionControl::preempt_best_effort is set (victims in
+  /// last_preempted()). On failure the connection is torn down.
+  Result reroute(std::uint64_t connection);
 
   const AllocatedConnection* connection(std::uint64_t id) const;
   std::size_t live_connections() const { return live_order_.size(); }
@@ -149,9 +167,10 @@ class ChurnService {
     return live_by_class_[static_cast<std::size_t>(c)];
   }
 
-  /// Service ids the most recent set_up() preempted (ascending; victims are
-  /// best-effort by construction). Cleared on every set_up — the replay
-  /// harness folds them into the decision digest.
+  /// Service ids the most recent set_up() or reroute() preempted
+  /// (ascending; victims are best-effort by construction). Cleared on
+  /// every set_up and reroute — the replay harness folds them into the
+  /// decision digest.
   const std::vector<std::uint64_t>& last_preempted() const { return last_preempted_; }
 
   /// One background compaction pass: walk live non-guaranteed connections
@@ -165,6 +184,7 @@ class ChurnService {
     std::size_t examined = 0;
     std::size_t moved = 0;
     std::uint64_t digest = 14695981039346656037ull; ///< FNV-1a over the moves
+    std::vector<std::uint64_t> moves; ///< ids of the moved connections, ascending
   };
   CompactionResult compact(std::size_t max_moves);
 
@@ -182,16 +202,28 @@ class ChurnService {
   /// per-class quota checks — the class population does not grow.
   Result allocate_connection(const ConnectionSpec& spec, AllocatedConnection* out,
                              bool new_connection = true);
-  /// Guaranteed set-up fallback: plan a min-victims preemption for the
-  /// failing channel, tear the victims down, retry. Bounded rounds.
-  Result preempt_and_retry(const ConnectionSpec& spec, AllocatedConnection* out);
-  /// Tear a victim connection down on behalf of a guaranteed set-up.
-  void preempt_connection(std::uint64_t id);
+  /// Guaranteed fallback of set_up and reroute: plan a min-victims
+  /// preemption for the failing channel, tear the victims down, retry.
+  /// Bounded rounds.
+  Result preempt_and_retry(const ConnectionSpec& spec, AllocatedConnection* out,
+                           bool new_connection);
   bool admit_route(const RouteTree& route) const;
   /// After a no-route reject: did any candidate path have enough free
   /// slots on every link (capacity) without enough aligned injection
   /// slots? That is fragmentation, not exhaustion.
   bool reject_was_fragmentation(const ChannelSpec& spec);
+
+  using ConnMap = std::unordered_map<std::uint64_t, AllocatedConnection>;
+  void insert_live(std::uint64_t id, AllocatedConnection conn);
+  void own_channels(std::uint64_t id, const AllocatedConnection& c);
+  void release_channels(const AllocatedConnection& c);
+  /// Release a connection's channels (a no-op for already-released ones)
+  /// and forget it: the one removal path of tear-down, preemption, failed
+  /// re-routes and failed roll-backs.
+  void remove(ConnMap::iterator it);
+  /// Roll a re-allocation back: put `old`'s reservations back as a unit
+  /// (restore_connection), or drop the connection if they are taken.
+  bool restore_or_drop(ConnMap::iterator it, const AllocatedConnection& old);
   void unlink_live(std::uint64_t id);
 
   /// Whether the most recent kRejectedNoRoute from allocate_connection was
@@ -202,7 +234,7 @@ class ChurnService {
   AdmissionControl admission_;
   ChurnMetrics metrics_;
   std::uint64_t next_id_ = 0;
-  std::unordered_map<std::uint64_t, AllocatedConnection> conns_;
+  ConnMap conns_;
   std::unordered_map<std::uint64_t, std::size_t> live_index_; ///< id -> slot in live_order_
   std::vector<std::uint64_t> live_order_;
   /// ChannelId -> owning service id, for preemption victim lookup.

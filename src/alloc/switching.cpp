@@ -54,21 +54,12 @@ std::optional<UseCaseAllocation> execute_use_case_switch(SlotAllocator& alloc,
     // torn-down reservations' slots are free again *unless an external
     // actor claimed them in the meantime* (raw reservations, a concurrent
     // mirror, or a caller whose `from` no longer matches the allocator).
-    // Restore each connection's request+response as a unit: a connection
-    // whose response cannot be restored must not keep its request
-    // committed — traffic would flow one way with no credit path and no
-    // owner left to release the request's slots.
+    // Each connection's request+response comes back as a unit
+    // (restore_connection), or not at all.
     std::string rollback_failed;
-    for (const AllocatedConnection& conn : plan.tear_down) {
-      if (!alloc.restore(conn.request)) {
-        if (rollback_failed.empty()) rollback_failed = conn.spec.name;
-        continue;
-      }
-      if (conn.has_response && !alloc.restore(conn.response)) {
-        alloc.release(conn.request);
-        if (rollback_failed.empty()) rollback_failed = conn.spec.name;
-      }
-    }
+    for (const AllocatedConnection& conn : plan.tear_down)
+      if (!restore_connection(alloc, conn) && rollback_failed.empty())
+        rollback_failed = conn.spec.name;
     if (!rollback_failed.empty() && failed) {
       // Surface the incomplete roll-back instead of silently reporting
       // "allocator restored to the pre-switch state".

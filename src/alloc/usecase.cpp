@@ -56,4 +56,13 @@ void release_use_case(SlotAllocator& alloc, const UseCaseAllocation& a) {
   }
 }
 
+bool restore_connection(SlotAllocator& alloc, const AllocatedConnection& c) {
+  if (!alloc.restore(c.request)) return false;
+  if (c.has_response && !alloc.restore(c.response)) {
+    alloc.release(c.request);
+    return false;
+  }
+  return true;
+}
+
 } // namespace daelite::alloc

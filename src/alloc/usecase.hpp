@@ -61,4 +61,11 @@ std::optional<UseCaseAllocation> allocate_use_case(SlotAllocator& alloc, const U
 /// Release every channel of an allocation.
 void release_use_case(SlotAllocator& alloc, const UseCaseAllocation& a);
 
+/// Re-reserve a connection's request and response exactly as they were
+/// (SlotAllocator::restore), as a unit: when the response cannot be
+/// restored the request is released again, so no connection is left
+/// holding one direction without its credit path. Returns whether both
+/// came back.
+bool restore_connection(SlotAllocator& alloc, const AllocatedConnection& c);
+
 } // namespace daelite::alloc

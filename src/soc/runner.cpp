@@ -1,12 +1,14 @@
 #include "soc/runner.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "alloc/churn.hpp"
 #include "alloc/dimension.hpp"
 #include "alloc/switching.hpp"
 #include "daelite/network.hpp"
@@ -25,7 +27,7 @@ struct ConnRecovery {
     kHealthy,        ///< delivering (or not yet touched by a fault)
     kReconfiguring,  ///< tear-down + set-up stream in flight
     kWaiting,        ///< reconfigured; waiting for delivery to every dst
-    kDead,           ///< repair failed — connection abandoned, queues freed
+    kDead,           ///< no route, preempted or repair abandoned; traffic stopped
   };
   Phase phase = Phase::kHealthy;
   std::size_t event = 0;       ///< index into report.recovery.events
@@ -78,6 +80,48 @@ void accumulate_energy(analysis::NetworkReport& report, const Scenario& sc,
     }
   }
   report.energy.config_words = net.config_module().words_sent();
+}
+
+/// What both scenario kinds read off the finished network: the final
+/// schedule with each reserved link's measured occupancy (slots in which a
+/// valid flit crossed it, from the upstream element's per-output counter),
+/// drop counters, configuration health, word totals and energy.
+void report_network(analysis::NetworkReport& report, const Scenario& sc, const topo::Mesh& mesh,
+                    hw::DaeliteNetwork& net, const tdm::Schedule& schedule,
+                    std::uint64_t slots_elapsed) {
+  report.schedule = analysis::summarize_schedule(mesh.topo, schedule);
+  report.links = analysis::link_usage(mesh.topo, schedule);
+  report.links.erase(std::find_if(report.links.begin(), report.links.end(),
+                                  [](const analysis::LinkUsage& u) { return u.reserved == 0; }),
+                     report.links.end());
+  for (analysis::LinkUsage& u : report.links) {
+    const topo::Link& link = mesh.topo.link(u.link);
+    u.busy_slots = mesh.topo.is_router(link.src)
+                       ? net.router(link.src).forwarded_on(link.src_port)
+                       : net.ni(link.src).stats().link_busy_slots;
+    u.slots_elapsed = slots_elapsed;
+  }
+
+  report.router_drops = net.total_router_drops();
+  report.ni_drops = net.total_ni_drops();
+  report.rx_overflow = net.total_rx_overflow();
+  report.health.protocol_errors = net.total_protocol_errors();
+  report.health.cfg_errors = net.total_cfg_errors();
+  report.health.timeouts = net.config_module().timeouts();
+  report.health.retries = net.config_module().retries();
+  report.health.aborted = net.config_module().aborted();
+  for (topo::NodeId n = 0; n < mesh.topo.node_count(); ++n) {
+    if (!mesh.topo.is_ni(n)) continue;
+    const hw::Ni& ni = net.ni(n);
+    for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
+      report.health.words_sent += ni.tx_stats(q).words_sent;
+      report.health.words_delivered += ni.rx_stats(q).words_received;
+    }
+  }
+  report.health.corrupt_words = net.total_corrupt_words();
+  report.health.lost_words = net.total_lost_words();
+
+  accumulate_energy(report, sc, mesh, net);
 }
 
 /// Execute a compiled DNN schedule: open layer 0, then per layer a
@@ -280,40 +324,8 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
 
   report.workload.total_cycles = kernel.now();
   report.schedule_utilization = cur->schedule_utilization;
-  report.schedule = analysis::summarize_schedule(mesh.topo, allocator.schedule());
-  report.links = analysis::link_usage(mesh.topo, allocator.schedule());
-  report.links.erase(std::find_if(report.links.begin(), report.links.end(),
-                                  [](const analysis::LinkUsage& u) { return u.reserved == 0; }),
-                     report.links.end());
-  const std::uint64_t slots_elapsed = kernel.now() / params->words_per_slot;
-  for (analysis::LinkUsage& u : report.links) {
-    const topo::Link& link = mesh.topo.link(u.link);
-    u.busy_slots = mesh.topo.is_router(link.src)
-                       ? net.router(link.src).forwarded_on(link.src_port)
-                       : net.ni(link.src).stats().link_busy_slots;
-    u.slots_elapsed = slots_elapsed;
-  }
-
-  report.router_drops = net.total_router_drops();
-  report.ni_drops = net.total_ni_drops();
-  report.rx_overflow = net.total_rx_overflow();
-  report.health.protocol_errors = net.total_protocol_errors();
-  report.health.cfg_errors = net.total_cfg_errors();
-  report.health.timeouts = net.config_module().timeouts();
-  report.health.retries = net.config_module().retries();
-  report.health.aborted = net.config_module().aborted();
-  for (topo::NodeId n = 0; n < mesh.topo.node_count(); ++n) {
-    if (!mesh.topo.is_ni(n)) continue;
-    const hw::Ni& ni = net.ni(n);
-    for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
-      report.health.words_sent += ni.tx_stats(q).words_sent;
-      report.health.words_delivered += ni.rx_stats(q).words_received;
-    }
-  }
-  report.health.corrupt_words = net.total_corrupt_words();
-  report.health.lost_words = net.total_lost_words();
-
-  accumulate_energy(report, sc, mesh, net);
+  report_network(report, sc, mesh, net, allocator.schedule(),
+                 kernel.now() / params->words_per_slot);
 
   bool all_done = true;
   for (const analysis::WorkloadLayerOutcome& lo : report.workload.layers)
@@ -321,6 +333,287 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
   report.ok = all_done && report.router_drops == 0 && report.ni_drops == 0 &&
               report.rx_overflow == 0 && report.health.config_ok && report.health.aborted == 0;
 }
+
+/// Word-wise FNV-1a step of the runner's compaction digest.
+void fnv_word(std::uint64_t& h, std::uint64_t x) { h = (h ^ x) * 1099511628211ull; }
+
+/// Self-healing of a running connection scenario (RecoveryOptions): polls
+/// the health monitor after every step, quarantines dead links, repairs
+/// the connections crossing them while traffic keeps flowing, and runs a
+/// compaction pass once a recovery wave settled. Every reservation change
+/// — adopt, re-route, preemption, compaction — goes through one
+/// alloc::ChurnService over the live allocator; this class only retires
+/// and reopens the hardware incarnations and keeps the report.
+class Recovery {
+ public:
+  Recovery(const RecoveryOptions& opt, const alloc::DimensionResult& dim,
+           const topo::Topology& topo, sim::Kernel& kernel, hw::DaeliteNetwork& net,
+           HealthMonitor& monitor, sim::Tracer* tr, analysis::NetworkReport& report,
+           std::vector<hw::ConnectionHandle>& handles,
+           std::vector<std::vector<std::uint64_t>>& delivered)
+      : opt_(opt), dim_(dim), kernel_(kernel), net_(net), monitor_(monitor), tr_(tr),
+        report_(report), handles_(handles), delivered_(delivered), live_(topo, dim.params),
+        service_(live_, alloc::AdmissionControl{.preempt_best_effort = opt.preempt_best_effort}),
+        rec_(handles.size()), rec_id_(tr ? tr->intern("recovery") : 0) {
+    // The dimensioned allocation, adopted in index order (service id ==
+    // connection index): mid-run re-allocation sees the real residual
+    // capacity and hands out ChannelIds that alias nothing.
+    for (const alloc::AllocatedConnection& c : dim.allocation.connections) service_.adopt(c);
+    for (std::size_t i = 0; i < rec_.size(); ++i) {
+      rec_[i].base_corrupt.assign(delivered_[i].size(), 0);
+      rec_[i].base_lost.assign(delivered_[i].size(), 0);
+    }
+  }
+
+  /// Post-step poll: collect verdicts, quarantine, repair, advance repairs
+  /// in flight, compact a settled wave. Pure bookkeeping on committed
+  /// kernel state, so it is identical under both schedulers and any
+  /// --jobs count.
+  void poll() {
+    for (const DeadLinkEvent& de : monitor_.take_dead_events()) {
+      report_.recovery.dead_links.push_back({de.link, de.cycle, de.evidence});
+      live_.quarantine_link(de.link);
+      for (std::size_t i = 0; i < handles_.size(); ++i) {
+        if (rec_[i].phase != ConnRecovery::Phase::kHealthy) continue;
+        const auto links = route_links(i);
+        if (std::find(links.begin(), links.end(), de.link) != links.end())
+          start(i, de.link, "link_dead", de.cycle);
+      }
+    }
+    for (std::size_t i = 0; i < handles_.size(); ++i) advance(i);
+    if (compact_pending_ && settled()) {
+      compact_pending_ = false;
+      compaction_pass();
+    }
+  }
+
+  bool dead(std::size_t i) const { return rec_[i].phase == ConnRecovery::Phase::kDead; }
+
+  /// Corrupt and lost words at connection i's destinations over every
+  /// incarnation, robust to queue re-binding across repairs (a plain sum
+  /// would double-count reused queue ids).
+  std::pair<std::uint64_t, std::uint64_t> integrity(std::size_t i) const {
+    const ConnRecovery& st = rec_[i];
+    std::uint64_t corrupt = st.saved_corrupt;
+    std::uint64_t lost = st.saved_lost;
+    if (st.phase == ConnRecovery::Phase::kDead) return {corrupt, lost}; // queues freed
+    for (std::size_t d = 0; d < delivered_[i].size(); ++d) {
+      const auto& rs = rx_stats(i, d);
+      corrupt += rs.corrupt_words - st.base_corrupt[d];
+      lost += rs.lost_words - st.base_lost[d];
+    }
+    return {corrupt, lost};
+  }
+
+  /// The live reservations: post-recovery routes plus the quarantine.
+  const alloc::SlotAllocator& allocator() const { return live_; }
+
+ private:
+  const hw::Ni::ChannelStats& rx_stats(std::size_t i, std::size_t d) const {
+    return net_.ni(handles_[i].conn.request.dst_nis[d]).rx_stats(handles_[i].dst_rx_qs[d]);
+  }
+
+  std::uint64_t integrity_total(std::size_t i) const {
+    const auto [corrupt, lost] = integrity(i);
+    return corrupt + lost;
+  }
+
+  std::vector<topo::LinkId> route_links(std::size_t i) const {
+    std::vector<topo::LinkId> links;
+    for (const alloc::RouteEdge& e : handles_[i].conn.request.edges) links.push_back(e.link);
+    if (handles_[i].conn.has_response)
+      for (const alloc::RouteEdge& e : handles_[i].conn.response.edges) links.push_back(e.link);
+    return links;
+  }
+
+  /// Drain and account a dying incarnation, then close it at the hardware
+  /// level: stale words must not fake a "restored" verdict, and the freed
+  /// queues' integrity counters survive into the per-connection totals.
+  void retire(std::size_t j) {
+    ConnRecovery& st = rec_[j];
+    for (std::size_t d = 0; d < delivered_[j].size(); ++d) {
+      hw::Ni& dst = net_.ni(handles_[j].conn.request.dst_nis[d]);
+      while (dst.rx_pop(handles_[j].dst_rx_qs[d])) ++delivered_[j][d];
+      const auto& rs = rx_stats(j, d);
+      st.saved_corrupt += rs.corrupt_words - st.base_corrupt[d];
+      st.saved_lost += rs.lost_words - st.base_lost[d];
+    }
+    net_.close_connection(handles_[j]);
+  }
+
+  /// Open connection i's new incarnation on the service's routes and
+  /// start waiting for its stream; `ev` becomes its report event.
+  void reopen(std::size_t i, analysis::RecoveryEvent ev) {
+    ConnRecovery& st = rec_[i];
+    const alloc::AllocatedConnection& conn = *service_.connection(i);
+    ev.hops_after = static_cast<std::uint32_t>(conn.request.edges.size());
+    st.event = report_.recovery.events.size();
+    st.detected = ev.detected_cycle;
+    st.abort_base = net_.config_module().aborted();
+    handles_[i] = net_.open_connection(conn);
+    for (std::size_t d = 0; d < delivered_[i].size(); ++d) {
+      st.base_corrupt[d] = rx_stats(i, d).corrupt_words;
+      st.base_lost[d] = rx_stats(i, d).lost_words;
+    }
+    st.phase = ConnRecovery::Phase::kReconfiguring;
+    report_.recovery.events.push_back(std::move(ev));
+  }
+
+  /// Tear the connection down and re-set it up around the quarantine while
+  /// traffic keeps flowing: the set-up stream rides the broadcast tree, so
+  /// repair cost scales with path length, not slot count (the paper's
+  /// fast-set-up argument replayed as fast *recovery*).
+  void start(std::size_t i, topo::LinkId link, const char* trigger, sim::Cycle detect_cycle) {
+    ConnRecovery& st = rec_[i];
+    if (opt_.compact_after_recovery) compact_pending_ = true;
+    analysis::RecoveryEvent ev;
+    ev.connection = dim_.connections[i].spec.name;
+    ev.link = link;
+    ev.trigger = trigger;
+    ev.detected_cycle = detect_cycle;
+    ev.hops_before = static_cast<std::uint32_t>(handles_[i].conn.request.edges.size());
+
+    retire(i);
+    const bool routed = service_.reroute(i).status == alloc::ChurnStatus::kAdmitted;
+    // Preemptive healing: a guaranteed connection squeezed out by the
+    // quarantine had the service tear best-effort connections down along a
+    // min-victims candidate path; their hardware goes too.
+    const std::vector<std::uint64_t>& victims = service_.last_preempted();
+    for (std::uint64_t j : victims) {
+      retire(j);
+      rec_[j].phase = ConnRecovery::Phase::kDead;
+      ++report_.service.per_class[static_cast<std::size_t>(alloc::ServiceClass::kBestEffort)]
+            .preempted;
+    }
+    if (!victims.empty()) {
+      ++report_.service.preemption_events;
+      if (tr_)
+        tr_->record(kernel_.now(), rec_id_, sim::TraceEvent::kPreemptBegin,
+                    report_.recovery.events.size(), victims.size());
+    }
+
+    st.alarm_base = st.saved_corrupt + st.saved_lost;
+    if (!routed) {
+      // No route around the quarantine: the connection stays down.
+      st.event = report_.recovery.events.size();
+      st.detected = detect_cycle;
+      st.phase = ConnRecovery::Phase::kDead;
+      report_.recovery.events.push_back(std::move(ev));
+      return;
+    }
+    reopen(i, std::move(ev));
+    if (tr_) tr_->record(kernel_.now(), rec_id_, sim::TraceEvent::kRecoveryBegin, st.event, link);
+  }
+
+  /// The watchdog gave up on connection i's stream: the connection is
+  /// dead, but the hardware may still hold its new routes, so their
+  /// reservations stay in the schedule — outside the service, where no
+  /// compaction or preemption can hand them to anyone else.
+  void abandon(std::size_t i) {
+    rec_[i].phase = ConnRecovery::Phase::kDead;
+    service_.tear_down(i);
+    alloc::restore_connection(live_, handles_[i].conn);
+  }
+
+  void advance(std::size_t i) {
+    ConnRecovery& st = rec_[i];
+    switch (st.phase) {
+      case ConnRecovery::Phase::kHealthy: {
+        // End-to-end integrity alarm: repair even without a dead-link
+        // verdict, provided the monitor can pin a suspect on the route.
+        if (integrity_total(i) - st.alarm_base < opt_.integrity_threshold) break;
+        const auto suspects = monitor_.suspects_among(route_links(i));
+        if (suspects.empty()) break; // not localizable (yet)
+        for (topo::LinkId l : suspects)
+          if (!live_.is_quarantined(l)) live_.quarantine_link(l);
+        start(i, suspects.front(), "integrity", kernel_.now());
+        break;
+      }
+      case ConnRecovery::Phase::kReconfiguring: {
+        if (net_.config_module().aborted() > st.abort_base ||
+            kernel_.now() - st.detected > opt_.reconfig_timeout) {
+          abandon(i);
+        } else if (net_.config_idle()) {
+          report_.recovery.events[st.event].reconfigured_cycle = kernel_.now();
+          st.delivered_baseline = delivered_[i];
+          st.phase = ConnRecovery::Phase::kWaiting;
+        }
+        break;
+      }
+      case ConnRecovery::Phase::kWaiting: {
+        for (std::size_t d = 0; d < delivered_[i].size(); ++d)
+          if (delivered_[i][d] <= st.delivered_baseline[d]) return;
+        analysis::RecoveryEvent& ev = report_.recovery.events[st.event];
+        ev.restored = true;
+        ev.restored_cycle = kernel_.now();
+        ++report_.service.per_class[static_cast<std::size_t>(dim_.connections[i].spec.service_class)]
+              .recovered;
+        st.alarm_base = integrity_total(i); // words lost mid-repair are acted upon
+        if (tr_)
+          tr_->record(kernel_.now(), rec_id_, sim::TraceEvent::kRecoveryEnd, st.event,
+                      ev.restored_cycle - ev.detected_cycle);
+        st.phase = ConnRecovery::Phase::kHealthy;
+        break;
+      }
+      case ConnRecovery::Phase::kDead:
+        break;
+    }
+  }
+
+  /// Every repair settled and the config stream drained: the compaction
+  /// pass sees a stable allocator and an idle tree.
+  bool settled() const {
+    if (!net_.config_idle()) return false;
+    for (const ConnRecovery& st : rec_)
+      if (st.phase == ConnRecovery::Phase::kReconfiguring ||
+          st.phase == ConnRecovery::Phase::kWaiting)
+        return false;
+    return true;
+  }
+
+  /// Slot compaction after a recovery wave (ChurnService::compact): every
+  /// accepted move rides the same reconfigure/wait machinery as a repair
+  /// (trigger "compaction"), close-before-open; guaranteed connections are
+  /// never touched. Rejected moves never reach the hardware.
+  void compaction_pass() {
+    const std::vector<std::uint64_t> moves =
+        service_.compact(std::numeric_limits<std::size_t>::max()).moves;
+    std::uint64_t pass_digest = 14695981039346656037ull;
+    for (const std::uint64_t i : moves) {
+      analysis::RecoveryEvent ev;
+      ev.connection = dim_.connections[i].spec.name;
+      ev.trigger = "compaction";
+      ev.detected_cycle = kernel_.now();
+      ev.hops_before = static_cast<std::uint32_t>(handles_[i].conn.request.edges.size());
+      fnv_word(pass_digest, i);
+      for (tdm::Slot s : handles_[i].conn.request.inject_slots) fnv_word(pass_digest, s);
+      retire(i);
+      reopen(i, std::move(ev));
+      for (tdm::Slot s : handles_[i].conn.request.inject_slots) fnv_word(pass_digest, s);
+    }
+    ++report_.service.compaction_passes;
+    report_.service.compaction_moves += moves.size();
+    fnv_word(report_.service.compaction_digest, pass_digest);
+    if (tr_)
+      tr_->record(kernel_.now(), rec_id_, sim::TraceEvent::kCompactionPass, moves.size(),
+                  pass_digest);
+  }
+
+  const RecoveryOptions& opt_;
+  const alloc::DimensionResult& dim_;
+  sim::Kernel& kernel_;
+  hw::DaeliteNetwork& net_;
+  HealthMonitor& monitor_;
+  sim::Tracer* tr_;
+  analysis::NetworkReport& report_;
+  std::vector<hw::ConnectionHandle>& handles_;
+  std::vector<std::vector<std::uint64_t>>& delivered_;
+  alloc::SlotAllocator live_;
+  alloc::ChurnService service_;
+  std::vector<ConnRecovery> rec_;
+  std::uint32_t rec_id_;
+  bool compact_pending_ = false; ///< a recovery wave ran; compact once it settles
+};
 
 } // namespace
 
@@ -478,18 +771,6 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
   phase_mark(sim::TraceEvent::kPhaseEnd, "configure");
   phase_mark(sim::TraceEvent::kPhaseBegin, "traffic");
 
-  // Live allocator mirror for recovery: the dimensioned allocation
-  // restored route by route, so mid-run re-allocation sees the real
-  // residual capacity and hands out ChannelIds that alias nothing.
-  std::optional<alloc::SlotAllocator> live;
-  if (spec.recovery.enabled) {
-    live.emplace(mesh.topo, dim->params);
-    for (const auto& c : dim->allocation.connections) {
-      live->restore(c.request);
-      if (c.has_response) live->restore(c.response);
-    }
-  }
-
   // Open-loop pacing for `stream` connections: offer `burst` words every
   // `period` cycles (optionally gated through a seeded on/off process like
   // BurstyWriter) instead of saturating the source. period == 0 keeps the
@@ -518,320 +799,17 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
   // Saturated traffic: sources push as fast as the NI accepts, sinks drain
   // every cycle; delivered words per destination measure achieved bandwidth.
   std::vector<std::vector<std::uint64_t>> delivered(handles.size());
-  std::vector<ConnRecovery> rec(handles.size());
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    const std::size_t dsts = handles[i].conn.request.dst_nis.size();
-    delivered[i].assign(dsts, 0);
-    rec[i].base_corrupt.assign(dsts, 0);
-    rec[i].base_lost.assign(dsts, 0);
-  }
+  for (std::size_t i = 0; i < handles.size(); ++i)
+    delivered[i].assign(handles[i].conn.request.dst_nis.size(), 0);
 
-  // Cumulative end-to-end integrity verdicts of one connection's
-  // destinations, robust to queue re-binding across repairs.
-  const auto integrity_total = [&](std::size_t i) {
-    std::uint64_t total = rec[i].saved_corrupt + rec[i].saved_lost;
-    if (rec[i].phase == ConnRecovery::Phase::kDead) return total; // queues freed
-    for (std::size_t d = 0; d < delivered[i].size(); ++d) {
-      const auto& rs =
-          net.ni(handles[i].conn.request.dst_nis[d]).rx_stats(handles[i].dst_rx_qs[d]);
-      total += rs.corrupt_words - rec[i].base_corrupt[d];
-      total += rs.lost_words - rec[i].base_lost[d];
-    }
-    return total;
-  };
-  const auto route_links = [&](std::size_t i) {
-    std::vector<topo::LinkId> links;
-    for (const alloc::RouteEdge& e : handles[i].conn.request.edges) links.push_back(e.link);
-    if (handles[i].conn.has_response)
-      for (const alloc::RouteEdge& e : handles[i].conn.response.edges) links.push_back(e.link);
-    return links;
-  };
-  const std::uint32_t rec_id = tr ? tr->intern("recovery") : 0;
-
-  // Drain and account a dying incarnation, then close it at the hardware
-  // level: stale words must not fake a "restored" verdict, and the freed
-  // queues' integrity counters survive into the per-connection totals.
-  // Allocator bookkeeping (release) is the caller's job.
-  const auto retire_incarnation = [&](std::size_t j) {
-    ConnRecovery& stj = rec[j];
-    for (std::size_t d = 0; d < delivered[j].size(); ++d) {
-      hw::Ni& dst = net.ni(handles[j].conn.request.dst_nis[d]);
-      while (dst.rx_pop(handles[j].dst_rx_qs[d])) ++delivered[j][d];
-      const auto& rs = dst.rx_stats(handles[j].dst_rx_qs[d]);
-      stj.saved_corrupt += rs.corrupt_words - stj.base_corrupt[d];
-      stj.saved_lost += rs.lost_words - stj.base_lost[d];
-    }
-    net.close_connection(handles[j]);
-  };
-
-  // A recovery wave ran: run one compaction pass once the config stream is
-  // idle again (only with compact_after_recovery).
-  bool compact_pending = false;
-
-  // Tear the connection down and re-set it up around the quarantine while
-  // traffic keeps flowing: the set-up stream rides the broadcast tree, so
-  // repair cost scales with path length, not slot count (the paper's
-  // fast-set-up argument replayed as fast *recovery*).
-  const auto start_recovery = [&](std::size_t i, topo::LinkId link, const char* trigger,
-                                  sim::Cycle detect_cycle) {
-    ConnRecovery& st = rec[i];
-    if (spec.recovery.compact_after_recovery) compact_pending = true;
-    analysis::RecoveryEvent ev;
-    ev.connection = dim->connections[i].spec.name;
-    ev.link = link;
-    ev.trigger = trigger;
-    ev.detected_cycle = detect_cycle;
-    ev.hops_before = static_cast<std::uint32_t>(handles[i].conn.request.edges.size());
-
-    retire_incarnation(i);
-    live->release(handles[i].conn.request);
-    if (handles[i].conn.has_response) live->release(handles[i].conn.response);
-
-    const alloc::ConnectionSpec& cs = handles[i].conn.spec;
-    const bool want_resp = handles[i].conn.has_response;
-    const auto try_allocate = [&](std::optional<alloc::RouteTree>* req,
-                                  std::optional<alloc::RouteTree>* resp) {
-      *req = live->allocate({cs.src_ni, cs.dst_nis, cs.request_slots, cs.service_class});
-      if (*req && want_resp) {
-        *resp = live->allocate({cs.dst_nis[0], {cs.src_ni}, cs.response_slots, cs.service_class});
-        if (!*resp) {
-          live->release(**req);
-          req->reset();
-        }
-      }
-    };
-    std::optional<alloc::RouteTree> new_req;
-    std::optional<alloc::RouteTree> new_resp;
-    try_allocate(&new_req, &new_resp);
-
-    // Preemptive healing: a guaranteed connection squeezed out by the
-    // quarantine may tear down best-effort traffic along a min-victims
-    // candidate path instead of going dead.
-    if (!new_req && spec.recovery.preempt_best_effort && cs.dst_nis.size() == 1 &&
-        cs.service_class == alloc::ServiceClass::kGuaranteed) {
-      std::unordered_map<tdm::ChannelId, std::size_t> owner;
-      for (std::size_t j = 0; j < handles.size(); ++j) {
-        if (j == i || rec[j].phase != ConnRecovery::Phase::kHealthy) continue;
-        if (handles[j].conn.spec.service_class != alloc::ServiceClass::kBestEffort) continue;
-        owner.emplace(handles[j].conn.request.channel, j);
-        if (handles[j].conn.has_response) owner.emplace(handles[j].conn.response.channel, j);
-      }
-      const auto preemptable = [&](tdm::ChannelId ch) { return owner.count(ch) != 0; };
-      // Two rounds: the request channel's plan may leave the response
-      // channel still blocked.
-      for (int round = 0; round < 2 && !new_req; ++round) {
-        auto plan = live->plan_preemption(
-            {cs.src_ni, cs.dst_nis, cs.request_slots, cs.service_class}, preemptable);
-        if ((!plan || plan->victims.empty()) && want_resp)
-          plan = live->plan_preemption(
-              {cs.dst_nis[0], {cs.src_ni}, cs.response_slots, cs.service_class}, preemptable);
-        if (!plan || plan->victims.empty()) break;
-        std::vector<std::size_t> victims;
-        for (tdm::ChannelId ch : plan->victims) victims.push_back(owner.at(ch));
-        std::sort(victims.begin(), victims.end());
-        victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-        for (std::size_t j : victims) {
-          retire_incarnation(j);
-          live->release(handles[j].conn.request);
-          if (handles[j].conn.has_response) live->release(handles[j].conn.response);
-          owner.erase(handles[j].conn.request.channel);
-          if (handles[j].conn.has_response) owner.erase(handles[j].conn.response.channel);
-          rec[j].phase = ConnRecovery::Phase::kDead;
-          ++report.service.per_class[static_cast<std::size_t>(alloc::ServiceClass::kBestEffort)]
-                .preempted;
-        }
-        ++report.service.preemption_events;
-        if (tr)
-          tr->record(kernel.now(), rec_id, sim::TraceEvent::kPreemptBegin,
-                     report.recovery.events.size(), victims.size());
-        try_allocate(&new_req, &new_resp);
-      }
-    }
-
-    st.event = report.recovery.events.size();
-    st.detected = detect_cycle;
-    st.alarm_base = st.saved_corrupt + st.saved_lost;
-    if (!new_req) {
-      // No route around the quarantine: the connection stays down.
-      st.phase = ConnRecovery::Phase::kDead;
-      report.recovery.events.push_back(std::move(ev));
-      return;
-    }
-    alloc::AllocatedConnection nc;
-    nc.id = handles[i].conn.id;
-    nc.spec = cs;
-    nc.request = std::move(*new_req);
-    nc.has_response = want_resp;
-    if (want_resp) nc.response = std::move(*new_resp);
-    ev.hops_after = static_cast<std::uint32_t>(nc.request.edges.size());
-    handles[i] = net.open_connection(nc);
-    for (std::size_t d = 0; d < delivered[i].size(); ++d) {
-      const auto& rs =
-          net.ni(handles[i].conn.request.dst_nis[d]).rx_stats(handles[i].dst_rx_qs[d]);
-      rec[i].base_corrupt[d] = rs.corrupt_words;
-      rec[i].base_lost[d] = rs.lost_words;
-    }
-    st.phase = ConnRecovery::Phase::kReconfiguring;
-    st.abort_base = net.config_module().aborted();
-    if (tr) tr->record(kernel.now(), rec_id, sim::TraceEvent::kRecoveryBegin, st.event, link);
-    report.recovery.events.push_back(std::move(ev));
-  };
-
-  // Slot compaction after a recovery wave: re-pack live standard and
-  // best-effort connections under kFirstFit, keeping a move only when it
-  // strictly lowers the (highest inject slot, route edges) packing score.
-  // Close-before-open at both the allocator and the hardware level — an
-  // accepted move rides the same reconfigure/wait machinery as a repair
-  // (trigger "compaction"); guaranteed channels are never touched.
-  const auto packing_score = [](const alloc::RouteTree& req, const alloc::RouteTree* resp) {
-    std::uint32_t hi = 0;
-    std::size_t edges = req.edges.size();
-    for (tdm::Slot s : req.inject_slots) hi = std::max<std::uint32_t>(hi, s);
-    if (resp) {
-      for (tdm::Slot s : resp->inject_slots) hi = std::max<std::uint32_t>(hi, s);
-      edges += resp->edges.size();
-    }
-    return std::make_pair(hi, edges);
-  };
-  const auto fnv = [](std::uint64_t& h, std::uint64_t x) { h = (h ^ x) * 1099511628211ull; };
-  const auto compaction_pass = [&]() {
-    const alloc::SlotPolicy saved_policy = live->options().slot_policy;
-    live->set_slot_policy(alloc::SlotPolicy::kFirstFit);
-    std::uint64_t moves = 0;
-    std::uint64_t pass_digest = 14695981039346656037ull;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (rec[i].phase != ConnRecovery::Phase::kHealthy) continue;
-      const alloc::ConnectionSpec& cs = handles[i].conn.spec;
-      if (cs.service_class == alloc::ServiceClass::kGuaranteed) continue;
-      const alloc::RouteTree old_req = handles[i].conn.request;
-      const bool want_resp = handles[i].conn.has_response;
-      const alloc::RouteTree old_resp = handles[i].conn.response;
-      // Allocator-only trial first, so rejected moves never touch the
-      // hardware (close + identical reopen would cost config-stream time).
-      live->release(old_req);
-      if (want_resp) live->release(old_resp);
-      auto new_req = live->allocate({cs.src_ni, cs.dst_nis, cs.request_slots, cs.service_class});
-      std::optional<alloc::RouteTree> new_resp;
-      if (new_req && want_resp) {
-        new_resp = live->allocate({cs.dst_nis[0], {cs.src_ni}, cs.response_slots, cs.service_class});
-        if (!new_resp) {
-          live->release(*new_req);
-          new_req.reset();
-        }
-      }
-      const bool better = new_req && packing_score(*new_req, new_resp ? &*new_resp : nullptr) <
-                                         packing_score(old_req, want_resp ? &old_resp : nullptr);
-      if (!better) {
-        if (new_resp) live->release(*new_resp);
-        if (new_req) live->release(*new_req);
-        // The old slots were just freed, so restore cannot fail.
-        live->restore(old_req);
-        if (want_resp) live->restore(old_resp);
-        continue;
-      }
-      retire_incarnation(i);
-      alloc::AllocatedConnection nc;
-      nc.id = handles[i].conn.id;
-      nc.spec = cs;
-      nc.request = std::move(*new_req);
-      nc.has_response = want_resp;
-      if (want_resp) nc.response = std::move(*new_resp);
-      analysis::RecoveryEvent ev;
-      ev.connection = dim->connections[i].spec.name;
-      ev.trigger = "compaction";
-      ev.detected_cycle = kernel.now();
-      ev.hops_before = static_cast<std::uint32_t>(old_req.edges.size());
-      ev.hops_after = static_cast<std::uint32_t>(nc.request.edges.size());
-      ConnRecovery& st = rec[i];
-      st.event = report.recovery.events.size();
-      st.detected = kernel.now();
-      st.abort_base = net.config_module().aborted();
-      handles[i] = net.open_connection(nc);
-      for (std::size_t d = 0; d < delivered[i].size(); ++d) {
-        const auto& rs =
-            net.ni(handles[i].conn.request.dst_nis[d]).rx_stats(handles[i].dst_rx_qs[d]);
-        st.base_corrupt[d] = rs.corrupt_words;
-        st.base_lost[d] = rs.lost_words;
-      }
-      st.phase = ConnRecovery::Phase::kReconfiguring;
-      report.recovery.events.push_back(std::move(ev));
-      ++moves;
-      fnv(pass_digest, i);
-      for (tdm::Slot s : old_req.inject_slots) fnv(pass_digest, s);
-      for (tdm::Slot s : handles[i].conn.request.inject_slots) fnv(pass_digest, s);
-    }
-    live->set_slot_policy(saved_policy);
-    ++report.service.compaction_passes;
-    report.service.compaction_moves += moves;
-    fnv(report.service.compaction_digest, pass_digest);
-    if (tr)
-      tr->record(kernel.now(), rec_id, sim::TraceEvent::kCompactionPass, moves, pass_digest);
-  };
-
-  // Post-step recovery poll: collect verdicts, quarantine, repair, and
-  // advance in-flight repairs. Pure bookkeeping on committed kernel state,
-  // so it is identical under both schedulers and any --jobs count.
-  const auto poll_recovery = [&]() {
-    for (const DeadLinkEvent& de : monitor->take_dead_events()) {
-      report.recovery.dead_links.push_back({de.link, de.cycle, de.evidence});
-      live->quarantine_link(de.link);
-      for (std::size_t i = 0; i < handles.size(); ++i) {
-        if (rec[i].phase != ConnRecovery::Phase::kHealthy) continue;
-        const auto links = route_links(i);
-        if (std::find(links.begin(), links.end(), de.link) != links.end())
-          start_recovery(i, de.link, "link_dead", de.cycle);
-      }
-    }
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      ConnRecovery& st = rec[i];
-      switch (st.phase) {
-        case ConnRecovery::Phase::kHealthy: {
-          // End-to-end integrity alarm: repair even without a dead-link
-          // verdict, provided the monitor can pin a suspect on the route.
-          if (integrity_total(i) - st.alarm_base < spec.recovery.integrity_threshold) break;
-          const auto suspects = monitor->suspects_among(route_links(i));
-          if (suspects.empty()) break; // not localizable (yet)
-          for (topo::LinkId l : suspects)
-            if (!live->is_quarantined(l)) live->quarantine_link(l);
-          start_recovery(i, suspects.front(), "integrity", kernel.now());
-          break;
-        }
-        case ConnRecovery::Phase::kReconfiguring: {
-          analysis::RecoveryEvent& ev = report.recovery.events[st.event];
-          if (net.config_module().aborted() > st.abort_base ||
-              kernel.now() - st.detected > spec.recovery.reconfig_timeout) {
-            st.phase = ConnRecovery::Phase::kDead; // watchdog gave up on the stream
-          } else if (net.config_idle()) {
-            ev.reconfigured_cycle = kernel.now();
-            st.delivered_baseline = delivered[i];
-            st.phase = ConnRecovery::Phase::kWaiting;
-          }
-          break;
-        }
-        case ConnRecovery::Phase::kWaiting: {
-          bool all = true;
-          for (std::size_t d = 0; d < delivered[i].size(); ++d)
-            all = all && delivered[i][d] > st.delivered_baseline[d];
-          if (!all) break;
-          analysis::RecoveryEvent& ev = report.recovery.events[st.event];
-          ev.restored = true;
-          ev.restored_cycle = kernel.now();
-          st.alarm_base = integrity_total(i); // words lost mid-repair are acted upon
-          if (tr)
-            tr->record(kernel.now(), rec_id, sim::TraceEvent::kRecoveryEnd, st.event,
-                       ev.restored_cycle - ev.detected_cycle);
-          st.phase = ConnRecovery::Phase::kHealthy;
-          break;
-        }
-        case ConnRecovery::Phase::kDead:
-          break;
-      }
-    }
-  };
+  std::optional<Recovery> recovery;
+  if (monitor)
+    recovery.emplace(spec.recovery, *dim, mesh.topo, kernel, net, *monitor, tr, report, handles,
+                     delivered);
 
   for (sim::Cycle c = 0; c < sc.run_cycles; ++c) {
     for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (rec[i].phase == ConnRecovery::Phase::kDead) continue; // queues freed
+      if (recovery && recovery->dead(i)) continue; // queues freed
       hw::Ni& src = net.ni(handles[i].conn.request.src_ni);
       Pacer& p = pacers[i];
       if (p.period == 0) {
@@ -859,21 +837,7 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
       }
     }
     kernel.step();
-    if (monitor) {
-      poll_recovery();
-      if (compact_pending) {
-        // Wait for every in-flight repair to settle and the config stream
-        // to drain, so the pass sees a stable allocator and an idle tree.
-        bool busy = !net.config_idle();
-        for (const ConnRecovery& st : rec)
-          busy = busy || st.phase == ConnRecovery::Phase::kReconfiguring ||
-                 st.phase == ConnRecovery::Phase::kWaiting;
-        if (!busy) {
-          compact_pending = false;
-          compaction_pass();
-        }
-      }
-    }
+    if (recovery) recovery->poll();
   }
   phase_mark(sim::TraceEvent::kPhaseEnd, "traffic");
 
@@ -890,7 +854,7 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
     if (report.service.enabled) {
       const alloc::ServiceClass sc_class = dim->connections[i].spec.service_class;
       out.service_class = std::string(alloc::service_class_name(sc_class));
-      if (spec.recovery.enabled && rec[i].phase == ConnRecovery::Phase::kDead)
+      if (recovery && recovery->dead(i))
         ++report.service.per_class[static_cast<std::size_t>(sc_class)].dead;
     }
     out.contract_mbps = dim->connections[i].spec.bandwidth_mbytes_per_s;
@@ -905,22 +869,8 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
       out.met = min_words + 64 + pacers[i].burst >= pacers[i].offered;
     }
     all_met = all_met && out.met;
-    // Per-connection integrity verdicts; integrity_total() accounts for
-    // queue re-binding across repairs (a plain sum would double-count
-    // reused queue ids).
-    if (spec.recovery.enabled) {
-      std::uint64_t corrupt = rec[i].saved_corrupt;
-      std::uint64_t lost = rec[i].saved_lost;
-      if (rec[i].phase != ConnRecovery::Phase::kDead) {
-        for (std::size_t d = 0; d < delivered[i].size(); ++d) {
-          const auto& rs =
-              net.ni(handles[i].conn.request.dst_nis[d]).rx_stats(handles[i].dst_rx_qs[d]);
-          corrupt += rs.corrupt_words - rec[i].base_corrupt[d];
-          lost += rs.lost_words - rec[i].base_lost[d];
-        }
-      }
-      out.corrupt_words = corrupt;
-      out.lost_words = lost;
+    if (recovery) {
+      std::tie(out.corrupt_words, out.lost_words) = recovery->integrity(i);
     } else {
       for (std::size_t d = 0; d < delivered[i].size(); ++d) {
         const auto& rs =
@@ -938,43 +888,14 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
   }
 
   // The live allocator already tracks post-recovery routes; without
-  // recovery, rebuild the dimensioned allocation (identical content — the
-  // same restore() sequence).
+  // recovery, rebuild the dimensioned allocation (identical content).
   alloc::SlotAllocator reporter(mesh.topo, dim->params);
-  if (!live) {
-    for (const auto& c : dim->allocation.connections) {
-      reporter.restore(c.request);
-      if (c.has_response) reporter.restore(c.response);
-    }
-  }
-  const tdm::Schedule& final_schedule = live ? live->schedule() : reporter.schedule();
-  report.schedule = analysis::summarize_schedule(mesh.topo, final_schedule);
-  report.links = analysis::link_usage(mesh.topo, final_schedule);
-  report.links.erase(std::find_if(report.links.begin(), report.links.end(),
-                                  [](const analysis::LinkUsage& u) { return u.reserved == 0; }),
-                     report.links.end());
-
-  // Measured per-link occupancy: slots in which a valid flit actually
-  // crossed the link, from the upstream element's per-output counter.
-  const std::uint64_t slots_elapsed = sc.run_cycles / dim->params.words_per_slot;
-  for (analysis::LinkUsage& u : report.links) {
-    const topo::Link& link = mesh.topo.link(u.link);
-    u.busy_slots = mesh.topo.is_router(link.src)
-                       ? net.router(link.src).forwarded_on(link.src_port)
-                       : net.ni(link.src).stats().link_busy_slots;
-    u.slots_elapsed = slots_elapsed;
-  }
-
-  report.router_drops = net.total_router_drops();
-  report.ni_drops = net.total_ni_drops();
-  report.rx_overflow = net.total_rx_overflow();
-
+  if (!recovery)
+    for (const auto& c : dim->allocation.connections) alloc::restore_connection(reporter, c);
+  report_network(report, sc, mesh, net,
+                 recovery ? recovery->allocator().schedule() : reporter.schedule(),
+                 sc.run_cycles / dim->params.words_per_slot);
   report.health.enabled = injector.has_value();
-  report.health.protocol_errors = net.total_protocol_errors();
-  report.health.cfg_errors = net.total_cfg_errors();
-  report.health.timeouts = net.config_module().timeouts();
-  report.health.retries = net.config_module().retries();
-  report.health.aborted = net.config_module().aborted();
   if (injector) {
     const sim::FaultCounters& fc = injector->counters();
     report.health.faults_injected = fc.injected;
@@ -983,31 +904,13 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
     report.health.words_stuck = fc.stuck;
     report.health.words_killed = fc.killed;
   }
-  for (topo::NodeId n = 0; n < mesh.topo.node_count(); ++n) {
-    if (!mesh.topo.is_ni(n)) continue;
-    const hw::Ni& ni = net.ni(n);
-    for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
-      report.health.words_sent += ni.tx_stats(q).words_sent;
-      report.health.words_delivered += ni.rx_stats(q).words_received;
-    }
-  }
-  report.health.corrupt_words = net.total_corrupt_words();
-  report.health.lost_words = net.total_lost_words();
-
-  accumulate_energy(report, sc, mesh, net);
 
   report.recovery.enabled = spec.recovery.enabled;
-  if (monitor) {
+  if (recovery) {
     report.recovery.missing_flits = monitor->total_missing();
     report.recovery.parity_errors = monitor->total_parity_errors();
-    for (topo::LinkId l : live->quarantined_links()) report.recovery.quarantined.push_back(l);
-  }
-  if (report.service.enabled && spec.recovery.enabled) {
-    std::unordered_map<std::string, std::size_t> class_of;
-    for (const alloc::DimensionedConnection& d : dim->connections)
-      class_of.emplace(d.spec.name, static_cast<std::size_t>(d.spec.service_class));
-    for (const analysis::RecoveryEvent& e : report.recovery.events)
-      if (e.restored) ++report.service.per_class[class_of.at(e.connection)].recovered;
+    for (topo::LinkId l : recovery->allocator().quarantined_links())
+      report.recovery.quarantined.push_back(l);
   }
 
   report.ok = all_met && report.router_drops == 0 && report.ni_drops == 0 &&

@@ -33,8 +33,10 @@ namespace daelite::soc {
 /// injector, quarantines links the monitor declares dead, and repairs the
 /// affected connections mid-run: drain, tear down, re-allocate around the
 /// quarantine, re-set up through the broadcast tree while traffic keeps
-/// flowing, and time detection-to-restored in cycles. Results land in the
-/// report's `recovery` section; disabled runs are byte-identical to a
+/// flowing, and time detection-to-restored in cycles. Every reservation
+/// change goes through one alloc::ChurnService over the live allocator —
+/// the runner is its second caller, next to run_churn. Results land in
+/// the report's `recovery` section; disabled runs are byte-identical to a
 /// build without recovery support.
 struct RecoveryOptions {
   bool enabled = false;
@@ -53,15 +55,16 @@ struct RecoveryOptions {
   sim::Cycle reconfig_timeout = 100000;
   /// Preemptive healing: when re-allocation around a quarantine finds no
   /// capacity for a guaranteed connection, tear down best-effort
-  /// connections along a min-victims candidate path
-  /// (SlotAllocator::plan_preemption) and retry, instead of declaring the
-  /// guaranteed connection dead. Victims are counted per class in the
-  /// report's `service` section and traced as kPreemptBegin.
+  /// connections along a min-victims candidate path and retry, instead of
+  /// declaring the guaranteed connection dead — ChurnService::reroute
+  /// under AdmissionControl::preempt_best_effort. Victims are counted per
+  /// class in the report's `service` section; each preempting repair is
+  /// one preemption event, traced as one kPreemptBegin.
   bool preempt_best_effort = false;
-  /// Slot compaction after every recovery wave: re-pack live non-guaranteed
-  /// connections onto lower injection slots (ChurnService::compact
-  /// semantics, allocator-level only — slot tables in flight are not
-  /// rewritten), traced as kCompactionPass with the move digest.
+  /// Slot compaction after every recovery wave: one ChurnService::compact
+  /// pass re-packs live non-guaranteed connections onto lower injection
+  /// slots, and each accepted move is retired and reopened like a repair.
+  /// Traced as kCompactionPass with the runner's move digest.
   bool compact_after_recovery = false;
 };
 

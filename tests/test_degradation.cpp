@@ -173,6 +173,100 @@ TEST(ServicePreemption, DisabledPolicyRejects) {
   EXPECT_EQ(service.metrics().preemptions.value(), 0u);
 }
 
+// --- Recovery-runner lifecycle: adopt and reroute -----------------------------
+
+// Adopting a dimensioned allocation in order numbers it 0, 1, 2, ... and
+// reproduces its reservations exactly; a connection whose slots are taken
+// is refused as a unit and registers nothing.
+TEST(Lifecycle, AdoptNumbersInOrderAndRestoresReservations) {
+  const auto m = topo::make_mesh(3, 3);
+  SlotAllocator scratch(m.topo, tdm::daelite_params(8));
+  UseCase uc;
+  uc.connections = {conn("a", m.ni(0, 0), m.ni(2, 2), 2, ServiceClass::kGuaranteed, 1),
+                    conn("b", m.ni(1, 0), m.ni(0, 2), 1, ServiceClass::kStandard, 1),
+                    conn("c", m.ni(2, 1), m.ni(0, 1), 3, ServiceClass::kBestEffort, 1)};
+  const auto dim = allocate_use_case(scratch, uc);
+  ASSERT_TRUE(dim.has_value());
+
+  SlotAllocator live(m.topo, tdm::daelite_params(8));
+  ChurnService service(live);
+  for (std::size_t i = 0; i < dim->connections.size(); ++i) {
+    const auto r = service.adopt(dim->connections[i]);
+    ASSERT_EQ(r.status, ChurnStatus::kAdmitted);
+    EXPECT_EQ(r.connection, i);
+    EXPECT_EQ(service.connection(i)->request.channel, dim->connections[i].request.channel);
+  }
+  EXPECT_EQ(live.allocated_channels(), scratch.allocated_channels());
+  EXPECT_DOUBLE_EQ(live.utilization(), scratch.utilization());
+  EXPECT_EQ(service.live_of_class(ServiceClass::kBestEffort), 1u);
+
+  // Block one slot of a's response: its request must not stay reserved.
+  SlotAllocator blocked(m.topo, tdm::daelite_params(8));
+  const RouteTree& resp = dim->connections[0].response;
+  const RouteEdge& e = resp.edges.front();
+  ASSERT_TRUE(blocked.reserve_raw(
+      e.link, blocked.params().slot_at_link(resp.inject_slots.front(), e.depth), 1000));
+  ChurnService refusing(blocked);
+  EXPECT_EQ(refusing.adopt(dim->connections[0]).status, ChurnStatus::kRejectedNoRoute);
+  EXPECT_EQ(refusing.live_connections(), 0u);
+  EXPECT_EQ(blocked.allocated_channels(), 0u);
+  EXPECT_EQ(refusing.adopt(dim->connections[1]).connection, 0u);
+}
+
+bool crosses_quarantine(const SlotAllocator& alloc, const RouteTree& route) {
+  for (const RouteEdge& e : route.edges)
+    if (alloc.is_quarantined(e.link)) return true;
+  return false;
+}
+
+// On a 2x2 mesh, gt's only detour around its quarantined direct link is
+// held (7 of 8 slots) by a best-effort connection.
+TEST(Lifecycle, RerouteKeepsTheIdAndPreemptsForGuaranteed) {
+  AdmissionControl admission;
+  admission.preempt_best_effort = true;
+  topo::Mesh m = topo::make_mesh(2, 2);
+  SlotAllocator alloc(m.topo, tdm::daelite_params(8));
+  ChurnService service(alloc, admission);
+  const std::uint64_t gt =
+      service.set_up(conn("gt", m.ni(0, 0), m.ni(1, 0), 2, ServiceClass::kGuaranteed)).connection;
+  const std::uint64_t be =
+      service.set_up(conn("be", m.ni(0, 1), m.ni(1, 1), 7, ServiceClass::kBestEffort)).connection;
+  ASSERT_NE(service.connection(be), nullptr);
+  alloc.quarantine_link(service.connection(gt)->request.edges.at(1).link);
+
+  const auto r = service.reroute(gt);
+  ASSERT_EQ(r.status, ChurnStatus::kAdmitted);
+  EXPECT_EQ(r.connection, gt);
+  ASSERT_NE(service.connection(gt), nullptr);
+  EXPECT_EQ(service.connection(gt)->id, gt);
+  EXPECT_FALSE(crosses_quarantine(alloc, service.connection(gt)->request));
+  EXPECT_EQ(service.last_preempted(), std::vector<std::uint64_t>{be});
+  EXPECT_EQ(service.connection(be), nullptr);
+  EXPECT_EQ(service.metrics().preemptions.value(), 1u);
+  EXPECT_EQ(service.live_connections(), 1u);
+}
+
+// Without the policy, a reroute that fits nowhere tears the connection
+// down and frees its reservations.
+TEST(Lifecycle, FailedRerouteTearsTheConnectionDown) {
+  topo::Mesh m = topo::make_mesh(2, 2);
+  SlotAllocator alloc(m.topo, tdm::daelite_params(8));
+  ChurnService service(alloc);
+  const std::uint64_t gt =
+      service.set_up(conn("gt", m.ni(0, 0), m.ni(1, 0), 2, ServiceClass::kGuaranteed)).connection;
+  const std::uint64_t be =
+      service.set_up(conn("be", m.ni(0, 1), m.ni(1, 1), 7, ServiceClass::kBestEffort)).connection;
+  alloc.quarantine_link(service.connection(gt)->request.edges.at(1).link);
+
+  EXPECT_EQ(service.reroute(gt).status, ChurnStatus::kRejectedNoRoute);
+  EXPECT_EQ(service.connection(gt), nullptr);
+  EXPECT_NE(service.connection(be), nullptr);
+  EXPECT_TRUE(service.last_preempted().empty());
+  EXPECT_EQ(service.live_of_class(ServiceClass::kGuaranteed), 0u);
+  EXPECT_EQ(alloc.allocated_channels(), 1u); // be's request only
+  EXPECT_EQ(service.reroute(gt).status, ChurnStatus::kUnknownConnection);
+}
+
 // --- Per-class quotas --------------------------------------------------------
 
 TEST(ClassQuota, MaxLiveBoundsOneClassOnly) {
@@ -303,6 +397,8 @@ TEST(Compaction, RepacksAndSparesGuaranteed) {
   bool converged = false;
   for (int pass = 0; pass < 10; ++pass) {
     const auto cr = service.compact(64);
+    EXPECT_EQ(cr.moves.size(), cr.moved);
+    EXPECT_TRUE(std::is_sorted(cr.moves.begin(), cr.moves.end()));
     if (pass == 0) {
       EXPECT_GT(cr.moved, 0u) << "tear-down gaps left nothing to re-pack";
       first_digest = cr.digest;
