@@ -3,13 +3,13 @@
 // Three sweeps over the background fault rate (per-word corruption
 // probability, see src/sim/fault.hpp):
 //
-//  1. daelite end-to-end: the batch runner's stress scenario (corner
-//     unicasts + one multicast) through soc::run_scenario() with a
-//     FaultInjector over every data and configuration link. Measures
-//     delivered-word degradation, set-up-time inflation (the runner
-//     appends one verification read per connection, so dropped config
-//     responses cost watchdog timeouts + retries), and the watchdog /
-//     detection counters from the report's `health` section.
+//  1. daelite end-to-end: soc::stress_scenario (corner unicasts + one
+//     multicast, what daelite_batch --mesh runs) through
+//     soc::run_scenario() with a FaultInjector over every data and
+//     configuration link. Measures delivered-word degradation, set-up-time
+//     inflation (the runner appends one verification read per connection,
+//     so dropped config responses cost watchdog timeouts + retries), and
+//     the watchdog / detection counters from the report's `health` section.
 //  2. aelite set-up: AeliteConfigHost with the same per-response loss
 //     rate — confirmation reads time out one wheel after the expected
 //     arrival and are re-issued, so set-up time inflates with rate.
@@ -46,35 +46,6 @@ namespace {
 
 constexpr std::uint64_t kFaultSeed = 42;
 
-// Same shape as daelite_batch's stress scenario: corner-to-corner
-// unicasts plus a multicast from the host, on a 4x4 mesh.
-soc::Scenario stress_scenario(int w, int h, sim::Cycle run_cycles) {
-  soc::Scenario sc;
-  sc.kind = soc::Scenario::TopologyKind::kMesh;
-  sc.width = w;
-  sc.height = h;
-  sc.host = {w / 2, h / 2};
-  sc.run_cycles = run_cycles;
-  const int mx = w - 1, my = h - 1;
-  const std::pair<int, int> corners[4] = {{0, 0}, {mx, 0}, {0, my}, {mx, my}};
-  for (int i = 0; i < 4; ++i) {
-    soc::Scenario::RawConnection c;
-    c.name = "corner" + std::to_string(i);
-    c.src = corners[i];
-    c.dsts.push_back(corners[3 - i]);
-    c.bandwidth = 150.0;
-    sc.raw.push_back(std::move(c));
-  }
-  soc::Scenario::RawConnection mc;
-  mc.name = "bcast";
-  mc.src = sc.host;
-  for (const auto& c : corners)
-    if (c != sc.host) mc.dsts.push_back(c);
-  mc.bandwidth = 40.0;
-  sc.raw.push_back(std::move(mc));
-  return sc;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -98,7 +69,8 @@ int main(int argc, char** argv) {
   for (double rate : rates) {
     soc::RunSpec spec;
     spec.label = "fault_sweep";
-    spec.scenario = stress_scenario(4, 4, run_cycles);
+    spec.scenario = soc::stress_scenario(4, 4);
+    spec.scenario.run_cycles = run_cycles;
     spec.fault_plan.seed = kFaultSeed;
     spec.fault_plan.rate = rate;
     const analysis::NetworkReport r = soc::run_scenario(spec);

@@ -32,6 +32,15 @@ std::string_view service_class_name(ServiceClass c) {
   return "?";
 }
 
+bool parse_service_class(std::string_view token, ServiceClass* out) {
+  for (std::size_t c = 0; c < kServiceClassCount; ++c) {
+    if (token != service_class_name(static_cast<ServiceClass>(c))) continue;
+    *out = static_cast<ServiceClass>(c);
+    return true;
+  }
+  return false;
+}
+
 std::vector<tdm::Slot> spread_pick(const std::vector<tdm::Slot>& avail, std::uint32_t want) {
   std::vector<tdm::Slot> picked;
   if (avail.size() < want) return picked;

@@ -49,6 +49,8 @@ enum class ServiceClass : std::uint8_t {
 };
 inline constexpr std::size_t kServiceClassCount = 3;
 std::string_view service_class_name(ServiceClass c);
+/// Inverse of service_class_name ("guaranteed" / "standard" / "best_effort").
+bool parse_service_class(std::string_view token, ServiceClass* out);
 
 struct ChannelSpec {
   topo::NodeId src_ni = topo::kInvalidNode;

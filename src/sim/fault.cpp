@@ -1,8 +1,9 @@
 #include "sim/fault.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
+
+#include "sim/parse.hpp"
 
 namespace daelite::sim {
 
@@ -36,15 +37,6 @@ bool fail(std::string* error, std::size_t line_no, const std::string& msg) {
   return false;
 }
 
-// Strict unsigned parse: the whole token, digits only. operator>> into an
-// unsigned accepts "-5" by wrapping it through modular arithmetic — a
-// negative word index silently became a directive that never fires.
-bool parse_u64_token(std::string_view tok, std::uint64_t* v) {
-  if (tok.empty()) return false;
-  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), *v);
-  return ec == std::errc{} && p == tok.data() + tok.size();
-}
-
 } // namespace
 
 bool FaultPlan::parse(std::istream& in, FaultPlan* out, std::string* error) {
@@ -66,7 +58,7 @@ bool FaultPlan::parse(std::istream& in, FaultPlan* out, std::string* error) {
       std::string_view cls_tok = tok;
       if (const auto at = cls_tok.find('@'); at != std::string_view::npos) {
         std::uint64_t idx = 0;
-        if (!parse_u64_token(cls_tok.substr(at + 1), &idx))
+        if (!parse_int(cls_tok.substr(at + 1), &idx))
           return fail(error, line_no, "expected a line index after '@' in '" + tok + "'");
         d->line_index = static_cast<std::int64_t>(idx);
         cls_tok = cls_tok.substr(0, at);
@@ -76,42 +68,36 @@ bool FaultPlan::parse(std::istream& in, FaultPlan* out, std::string* error) {
                     "expected a fault class (data|cfg_fwd|cfg_resp|aelite), got '" + tok + "'");
       return true;
     };
-    const auto read_u64 = [&](std::uint64_t* v, const char* what) {
+    const auto read = [&](auto* v, const char* what) {
       std::string tok;
       if (!(ls >> tok)) return fail(error, line_no, std::string("expected ") + what);
-      if (!parse_u64_token(tok, v))
+      if (!parse_token(tok, v))
         return fail(error, line_no, std::string("expected ") + what + ", got '" + tok + "'");
       return true;
     };
 
     if (word == "seed") {
-      if (!read_u64(&plan.seed, "a seed value")) return false;
+      if (!read(&plan.seed, "a seed value")) return false;
     } else if (word == "rate") {
-      if (!(ls >> plan.rate) || plan.rate < 0.0 || plan.rate > 1.0)
-        return fail(error, line_no, "expected a rate in [0,1]");
+      if (!read(&plan.rate, "a rate in [0,1]")) return false;
+      if (plan.rate < 0.0 || plan.rate > 1.0) return fail(error, line_no, "rate outside [0,1]");
     } else if (word == "drop" || word == "flip") {
       FaultDirective d;
       d.kind = word == "drop" ? FaultDirective::Kind::kDrop : FaultDirective::Kind::kFlip;
       if (!read_class(&d)) return false;
-      if (!read_u64(&d.nth, "a word index")) return false;
-      if (d.kind == FaultDirective::Kind::kFlip) {
-        std::uint64_t bit = 0;
-        if (!read_u64(&bit, "a bit index")) return false;
-        d.bit = static_cast<std::uint32_t>(bit);
-      }
+      if (!read(&d.nth, "a word index")) return false;
+      if (d.kind == FaultDirective::Kind::kFlip && !read(&d.bit, "a bit index")) return false;
       plan.directives.push_back(d);
     } else if (word == "stuck") {
       FaultDirective d;
       d.kind = FaultDirective::Kind::kStuck;
       if (!read_class(&d)) return false;
-      std::uint64_t bit = 0;
-      if (!read_u64(&bit, "a bit index")) return false;
-      d.bit = static_cast<std::uint32_t>(bit);
+      if (!read(&d.bit, "a bit index")) return false;
       std::string tok;
       if (ls >> tok) { // optional window
-        if (!parse_u64_token(tok, &d.from))
+        if (!parse_int(tok, &d.from))
           return fail(error, line_no, "expected a window start, got '" + tok + "'");
-        if (!read_u64(&d.to, "a window end")) return false;
+        if (!read(&d.to, "a window end")) return false;
         if (d.to <= d.from)
           return fail(error, line_no, "empty window: end " + std::to_string(d.to) +
                                           " must exceed start " + std::to_string(d.from));
@@ -121,8 +107,8 @@ bool FaultPlan::parse(std::istream& in, FaultPlan* out, std::string* error) {
       FaultDirective d;
       d.kind = FaultDirective::Kind::kKill;
       if (!read_class(&d)) return false;
-      if (!read_u64(&d.from, "a window start")) return false;
-      if (!read_u64(&d.to, "a window end")) return false;
+      if (!read(&d.from, "a window start")) return false;
+      if (!read(&d.to, "a window end")) return false;
       if (d.to <= d.from)
         return fail(error, line_no, "empty window: end " + std::to_string(d.to) +
                                         " must exceed start " + std::to_string(d.from));

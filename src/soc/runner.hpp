@@ -23,8 +23,9 @@ class DaeliteNetwork;
 }
 
 namespace daelite::sim {
+class Args;
 class Tracer;
-}
+} // namespace daelite::sim
 
 namespace daelite::soc {
 
@@ -122,5 +123,26 @@ struct RunSpec {
 /// dimensioning or build failures come back as a report with `ok == false`
 /// and the diagnostic in `error`.
 analysis::NetworkReport run_scenario(const RunSpec& spec);
+
+/// One job end to end, the path daelite_sim and every daelite_batch job
+/// share: run_scenario with the job's own tracer when `trace_path` is
+/// non-empty, an exception folded into `report.error`, and the Chrome
+/// trace written to `trace_path`. A trace file that cannot be written
+/// sets `*trace_error`; the report stands either way.
+analysis::NetworkReport run_job(RunSpec spec, const std::string& trace_path,
+                                std::string* trace_error);
+
+/// The command-line grammar of RunSpec, shared by daelite_sim and
+/// daelite_batch (usage text: kRunFlagUsage):
+///   --scheduler stride|reference   --shards N (>= 1)   --soa
+///   --fault-seed N   --fault-rate R (in [0,1])   --fault-plan FILE
+///   --recover   --preempt   --compact
+///   --watchdog-retries N   --watchdog-timeout-mult X (> 0)
+/// A --fault-plan file replaces the whole plan, so --fault-seed and
+/// --fault-rate count only when given after it. kNotMine: the current
+/// argument is none of these flags; kBad: a diagnostic is on stderr.
+enum class RunFlag { kNotMine, kTaken, kBad };
+RunFlag parse_run_flag(sim::Args& args, RunSpec* spec);
+extern const char* const kRunFlagUsage;
 
 } // namespace daelite::soc

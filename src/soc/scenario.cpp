@@ -1,75 +1,14 @@
 #include "soc/scenario.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
+
+#include "sim/parse.hpp"
+#include "tdm/params.hpp"
 
 namespace daelite::soc {
 
 namespace {
-
-bool parse_coord(const std::string& tok, std::pair<int, int>* out) {
-  const auto comma = tok.find(',');
-  if (comma == std::string::npos) return false;
-  try {
-    out->first = std::stoi(tok.substr(0, comma));
-    out->second = std::stoi(tok.substr(comma + 1));
-  } catch (...) {
-    return false;
-  }
-  return out->first >= 0 && out->second >= 0;
-}
-
-// Strict numeric parsing for the newer directives (stream/dram/energy/
-// dnn/layer) — the tools/cli_parse.hpp policy: the ENTIRE token must be
-// the number, so "16x" or "1e3junk" is a diagnostic instead of a silently
-// different experiment.
-template <typename T>
-bool parse_strict_int(const std::string& tok, T* out) {
-  if (tok.empty()) return false;
-  T v{};
-  const char* const last = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), last, v, 10);
-  if (ec != std::errc{} || ptr != last) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_strict_double(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  double v = 0.0;
-  const char* const last = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), last, v, std::chars_format::fixed);
-  if (ec != std::errc{} || ptr != last) return false;
-  *out = v;
-  return true;
-}
-
-/// Strict "x,y" with non-negative whole-token components.
-bool parse_strict_coord(const std::string& tok, std::pair<int, int>* out) {
-  const auto comma = tok.find(',');
-  if (comma == std::string::npos) return false;
-  return parse_strict_int(tok.substr(0, comma), &out->first) &&
-         parse_strict_int(tok.substr(comma + 1), &out->second) && out->first >= 0 &&
-         out->second >= 0;
-}
-
-/// Strict "WxH" with positive whole-token components.
-bool parse_strict_extent(const std::string& tok, int* w, int* h) {
-  const auto x = tok.find('x');
-  if (x == std::string::npos) return false;
-  return parse_strict_int(tok.substr(0, x), w) && parse_strict_int(tok.substr(x + 1), h) &&
-         *w >= 1 && *h >= 1;
-}
-
-/// Strict service-class token ("guaranteed" / "standard" / "best_effort").
-bool parse_service_class(const std::string& tok, alloc::ServiceClass* out) {
-  if (tok == "guaranteed") *out = alloc::ServiceClass::kGuaranteed;
-  else if (tok == "standard") *out = alloc::ServiceClass::kStandard;
-  else if (tok == "best_effort") *out = alloc::ServiceClass::kBestEffort;
-  else return false;
-  return true;
-}
 
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> toks;
@@ -100,152 +39,102 @@ std::optional<Scenario> parse_scenario(std::istream& in, std::string* error) {
     const std::string& cmd = toks[0];
 
     if (cmd == "mesh") {
-      if (toks.size() < 3) return fail("mesh needs <width> <height>");
-      sc.kind = (toks.size() > 3 && toks[3] == "torus") ? Scenario::TopologyKind::kTorus
-                                                        : Scenario::TopologyKind::kMesh;
-      try {
-        sc.width = std::stoi(toks[1]);
-        sc.height = std::stoi(toks[2]);
-      } catch (...) {
-        return fail("bad mesh dimensions");
-      }
+      const bool torus = toks.size() == 4 && toks[3] == "torus";
+      if (toks.size() != 3 && !torus) return fail("mesh needs <width> <height> [torus]");
+      if (!sim::parse_int(toks[1], &sc.width) || !sim::parse_int(toks[2], &sc.height))
+        return fail("bad mesh dimensions '" + toks[1] + " " + toks[2] + "'");
       if (sc.width < 1 || sc.height < 1) return fail("mesh dimensions must be positive");
+      sc.kind = torus ? Scenario::TopologyKind::kTorus : Scenario::TopologyKind::kMesh;
     } else if (cmd == "ring") {
-      if (toks.size() < 2) return fail("ring needs <routers>");
+      if (toks.size() != 2) return fail("ring needs <routers>");
+      if (!sim::parse_int(toks[1], &sc.width) || sc.width < 2)
+        return fail("bad ring size '" + toks[1] + "' (want at least 2 routers)");
       sc.kind = Scenario::TopologyKind::kRing;
-      try {
-        sc.width = std::stoi(toks[1]);
-      } catch (...) {
-        return fail("bad ring size");
-      }
       sc.height = 1;
-      if (sc.width < 2) return fail("ring needs at least 2 routers");
     } else if (cmd == "slots") {
-      if (toks.size() < 2) return fail("slots needs <S>");
-      try {
-        sc.slots = static_cast<std::uint32_t>(std::stoul(toks[1]));
-      } catch (...) {
-        return fail("bad slot count");
-      }
+      std::uint32_t s = 0;
+      if (toks.size() != 2) return fail("slots needs <S>");
+      if (!sim::parse_slots(toks[1], &s))
+        return fail("bad slot count '" + toks[1] + "' (want an integer in [1," +
+                    std::to_string(tdm::TdmParams::kMaxSlots) + "])");
+      sc.slots = s;
     } else if (cmd == "clock") {
-      if (toks.size() < 2) return fail("clock needs <MHz>");
-      try {
-        sc.clock_mhz = std::stod(toks[1]);
-      } catch (...) {
-        return fail("bad clock");
-      }
+      if (toks.size() != 2) return fail("clock needs <MHz>");
+      if (!sim::parse_number(toks[1], &sc.clock_mhz) || sc.clock_mhz <= 0.0)
+        return fail("bad clock '" + toks[1] + "'");
     } else if (cmd == "host") {
-      if (toks.size() < 2 || !parse_coord(toks[1], &sc.host)) return fail("host needs <x,y>");
+      if (toks.size() != 2 || !sim::parse_coord(toks[1], &sc.host)) return fail("host needs <x,y>");
     } else if (cmd == "run") {
-      if (toks.size() < 2) return fail("run needs <cycles>");
-      try {
-        sc.run_cycles = std::stoull(toks[1]);
-      } catch (...) {
-        return fail("bad run length");
-      }
-    } else if (cmd == "connection") {
-      if (toks.size() < 5) return fail("connection needs <name> <src> <dst> <MB/s>");
+      if (toks.size() != 2) return fail("run needs <cycles>");
+      if (!sim::parse_int(toks[1], &sc.run_cycles))
+        return fail("bad run length '" + toks[1] + "'");
+    } else if (cmd == "connection" || cmd == "stream") {
+      // connection <name> <src> <dst> <MB/s> [latency <ns>] [resp <MB/s>] [class C]
+      // stream <name> <src> <dst> <MB/s> period <cycles> burst <words>
+      //        [bursty <seed>] [resp <MB/s>] [class C]
+      const bool stream = cmd == "stream";
+      if (toks.size() < 5) return fail(cmd + " needs <name> <src> <dst> <MB/s>");
       Scenario::RawConnection c;
       c.name = toks[1];
       std::pair<int, int> dst;
-      if (!parse_coord(toks[2], &c.src) || !parse_coord(toks[3], &dst))
-        return fail("bad coordinates in connection");
+      if (!sim::parse_coord(toks[2], &c.src) || !sim::parse_coord(toks[3], &dst))
+        return fail("bad coordinates in " + cmd);
       c.dsts.push_back(dst);
-      try {
-        c.bandwidth = std::stod(toks[4]);
-      } catch (...) {
-        return fail("bad bandwidth");
-      }
-      std::size_t i = 5;
-      while (i < toks.size()) {
+      if (!sim::parse_number(toks[4], &c.bandwidth) || c.bandwidth <= 0.0)
+        return fail("bad " + cmd + " bandwidth '" + toks[4] + "'");
+      bool saw_period = false;
+      bool saw_burst = false;
+      for (std::size_t i = 5; i < toks.size(); i += 2) {
         if (i + 1 >= toks.size()) return fail(toks[i] + " needs a value");
-        try {
-          if (toks[i] == "latency") {
-            c.max_latency_ns = std::stod(toks[i + 1]);
-          } else if (toks[i] == "resp") {
-            c.response_bandwidth = std::stod(toks[i + 1]);
-          } else if (toks[i] == "class") {
-            if (!parse_service_class(toks[i + 1], &c.service_class))
-              return fail("unknown service class '" + toks[i + 1] +
-                          "' (want guaranteed|standard|best_effort)");
-          } else {
-            return fail("unknown connection option '" + toks[i] + "'");
-          }
-        } catch (...) {
-          return fail("bad value for " + toks[i]);
+        const std::string& opt = toks[i];
+        const std::string& val = toks[i + 1];
+        bool ok = false;
+        if (opt == "resp") {
+          ok = sim::parse_number(val, &c.response_bandwidth) && c.response_bandwidth >= 0.0;
+        } else if (opt == "class") {
+          if (!alloc::parse_service_class(val, &c.service_class))
+            return fail("unknown service class '" + val +
+                        "' (want guaranteed|standard|best_effort)");
+          ok = true;
+        } else if (!stream && opt == "latency") {
+          ok = sim::parse_number(val, &c.max_latency_ns) && c.max_latency_ns > 0.0;
+        } else if (stream && opt == "period") {
+          ok = saw_period = sim::parse_int(val, &c.stream_period) && c.stream_period > 0;
+        } else if (stream && opt == "burst") {
+          ok = saw_burst = sim::parse_int(val, &c.stream_burst) && c.stream_burst > 0;
+        } else if (stream && opt == "bursty") {
+          ok = sim::parse_int(val, &c.bursty_seed) && c.bursty_seed != 0;
+        } else {
+          return fail("unknown " + cmd + " option '" + opt + "'");
         }
-        i += 2;
+        if (!ok) return fail("bad " + cmd + " " + opt + " '" + val + "'");
       }
+      if (stream && (!saw_period || !saw_burst))
+        return fail("stream needs period <cycles> and burst <words>");
       sc.raw.push_back(std::move(c));
     } else if (cmd == "multicast") {
       // multicast <name> <src> <dst>... bw <MB/s>
       if (toks.size() < 6) return fail("multicast needs <name> <src> <dst>... bw <MB/s>");
       Scenario::RawConnection c;
       c.name = toks[1];
-      if (!parse_coord(toks[2], &c.src)) return fail("bad multicast source");
+      if (!sim::parse_coord(toks[2], &c.src)) return fail("bad multicast source");
       std::size_t i = 3;
       for (; i < toks.size() && toks[i] != "bw"; ++i) {
         std::pair<int, int> d;
-        if (!parse_coord(toks[i], &d)) return fail("bad multicast destination '" + toks[i] + "'");
+        if (!sim::parse_coord(toks[i], &d))
+          return fail("bad multicast destination '" + toks[i] + "'");
         c.dsts.push_back(d);
       }
       if (c.dsts.size() < 2) return fail("multicast needs at least 2 destinations");
-      if (i + 1 >= toks.size()) return fail("multicast needs bw <MB/s>");
-      try {
-        c.bandwidth = std::stod(toks[i + 1]);
-      } catch (...) {
-        return fail("bad multicast bandwidth");
-      }
-      sc.raw.push_back(std::move(c));
-    } else if (cmd == "stream") {
-      // stream <name> <src> <dst> <MB/s> period <cycles> burst <words>
-      //        [bursty <seed>] [resp <MB/s>]
-      if (toks.size() < 5) return fail("stream needs <name> <src> <dst> <MB/s>");
-      Scenario::RawConnection c;
-      c.name = toks[1];
-      std::pair<int, int> dst;
-      if (!parse_strict_coord(toks[2], &c.src) || !parse_strict_coord(toks[3], &dst))
-        return fail("bad coordinates in stream");
-      c.dsts.push_back(dst);
-      if (!parse_strict_double(toks[4], &c.bandwidth) || c.bandwidth <= 0.0)
-        return fail("bad stream bandwidth '" + toks[4] + "'");
-      bool saw_period = false;
-      bool saw_burst = false;
-      std::size_t i = 5;
-      while (i < toks.size()) {
-        if (i + 1 >= toks.size()) return fail(toks[i] + " needs a value");
-        const std::string& val = toks[i + 1];
-        if (toks[i] == "period") {
-          if (!parse_strict_int(val, &c.stream_period) || c.stream_period == 0)
-            return fail("bad stream period '" + val + "'");
-          saw_period = true;
-        } else if (toks[i] == "burst") {
-          if (!parse_strict_int(val, &c.stream_burst) || c.stream_burst == 0)
-            return fail("bad stream burst '" + val + "'");
-          saw_burst = true;
-        } else if (toks[i] == "bursty") {
-          if (!parse_strict_int(val, &c.bursty_seed) || c.bursty_seed == 0)
-            return fail("bad bursty seed '" + val + "' (must be a non-zero integer)");
-        } else if (toks[i] == "resp") {
-          if (!parse_strict_double(val, &c.response_bandwidth) || c.response_bandwidth < 0.0)
-            return fail("bad stream resp bandwidth '" + val + "'");
-        } else if (toks[i] == "class") {
-          if (!parse_service_class(val, &c.service_class))
-            return fail("unknown service class '" + val +
-                        "' (want guaranteed|standard|best_effort)");
-        } else {
-          return fail("unknown stream option '" + toks[i] + "'");
-        }
-        i += 2;
-      }
-      if (!saw_period || !saw_burst)
-        return fail("stream needs period <cycles> and burst <words>");
+      if (i + 2 != toks.size()) return fail("multicast needs bw <MB/s>");
+      if (!sim::parse_number(toks[i + 1], &c.bandwidth) || c.bandwidth <= 0.0)
+        return fail("bad multicast bandwidth '" + toks[i + 1] + "'");
       sc.raw.push_back(std::move(c));
     } else if (cmd == "dram") {
       if (toks.size() < 2) return fail("dram needs at least one <x,y>");
       for (std::size_t i = 1; i < toks.size(); ++i) {
         std::pair<int, int> p;
-        if (!parse_strict_coord(toks[i], &p)) return fail("bad dram port '" + toks[i] + "'");
+        if (!sim::parse_coord(toks[i], &p)) return fail("bad dram port '" + toks[i] + "'");
         sc.dram.push_back(p);
       }
     } else if (cmd == "energy") {
@@ -258,7 +147,7 @@ std::optional<Scenario> parse_scenario(std::istream& in, std::string* error) {
         else if (toks[i] == "dram") slot = &sc.energy.dram_access_energy_pj;
         else if (toks[i] == "config") slot = &sc.energy.config_energy_pj;
         else return fail("unknown energy option '" + toks[i] + "'");
-        if (!parse_strict_double(toks[i + 1], slot) || *slot < 0.0)
+        if (!sim::parse_number(toks[i + 1], slot) || *slot < 0.0)
           return fail("bad energy value '" + toks[i + 1] + "'");
         i += 2;
       }
@@ -268,10 +157,10 @@ std::optional<Scenario> parse_scenario(std::istream& in, std::string* error) {
       if (toks.size() < 4 || toks[1] != "grid") return fail("dnn needs grid <x,y> <WxH>");
       workload::DnnSchedule d;
       std::pair<int, int> origin;
-      if (!parse_strict_coord(toks[2], &origin)) return fail("bad dnn grid origin '" + toks[2] + "'");
+      if (!sim::parse_coord(toks[2], &origin)) return fail("bad dnn grid origin '" + toks[2] + "'");
       d.grid_x = origin.first;
       d.grid_y = origin.second;
-      if (!parse_strict_extent(toks[3], &d.grid_w, &d.grid_h))
+      if (!sim::parse_extent(toks[3], &d.grid_w, &d.grid_h))
         return fail("bad dnn grid extent '" + toks[3] + "' (want WxH)");
       std::size_t i = 4;
       while (i < toks.size()) {
@@ -281,7 +170,7 @@ std::optional<Scenario> parse_scenario(std::istream& in, std::string* error) {
         else if (toks[i] == "ifmap") slot = &d.ifmap_slots;
         else if (toks[i] == "ofmap") slot = &d.ofmap_slots;
         else return fail("unknown dnn option '" + toks[i] + "'");
-        if (!parse_strict_int(toks[i + 1], slot) || *slot == 0)
+        if (!sim::parse_int(toks[i + 1], slot) || *slot == 0)
           return fail("bad dnn slot count '" + toks[i + 1] + "'");
         i += 2;
       }
@@ -293,11 +182,11 @@ std::optional<Scenario> parse_scenario(std::istream& in, std::string* error) {
         return fail("layer needs <name> weights <words> ifmap <words> ofmap <words>");
       workload::LayerSpec l;
       l.name = toks[1];
-      if (!parse_strict_int(toks[3], &l.weight_words) || l.weight_words == 0)
+      if (!sim::parse_int(toks[3], &l.weight_words) || l.weight_words == 0)
         return fail("bad layer weight words '" + toks[3] + "'");
-      if (!parse_strict_int(toks[5], &l.ifmap_words))
+      if (!sim::parse_int(toks[5], &l.ifmap_words))
         return fail("bad layer ifmap words '" + toks[5] + "'");
-      if (!parse_strict_int(toks[7], &l.ofmap_words))
+      if (!sim::parse_int(toks[7], &l.ofmap_words))
         return fail("bad layer ofmap words '" + toks[7] + "'");
       sc.dnn->layers.push_back(std::move(l));
     } else {
@@ -331,6 +220,33 @@ std::optional<Scenario> parse_scenario_file(const std::string& path, std::string
     return std::nullopt;
   }
   return parse_scenario(in, error);
+}
+
+Scenario stress_scenario(int width, int height, bool torus) {
+  Scenario sc;
+  sc.kind = torus ? Scenario::TopologyKind::kTorus : Scenario::TopologyKind::kMesh;
+  sc.width = width;
+  sc.height = height;
+  sc.host = {width / 2, height / 2};
+  sc.run_cycles = 5000;
+  const int mx = width - 1, my = height - 1;
+  const std::pair<int, int> corners[4] = {{0, 0}, {mx, 0}, {0, my}, {mx, my}};
+  for (int i = 0; i < 4; ++i) {
+    Scenario::RawConnection c;
+    c.name = "corner" + std::to_string(i);
+    c.src = corners[i];
+    c.dsts.push_back(corners[3 - i]);
+    c.bandwidth = 150.0;
+    sc.raw.push_back(std::move(c));
+  }
+  Scenario::RawConnection mc;
+  mc.name = "bcast";
+  mc.src = sc.host;
+  for (const auto& c : corners)
+    if (c != sc.host) mc.dsts.push_back(c);
+  mc.bandwidth = 40.0;
+  sc.raw.push_back(std::move(mc));
+  return sc;
 }
 
 topo::Mesh Scenario::build() {

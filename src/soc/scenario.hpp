@@ -10,7 +10,7 @@
 // Grammar (one directive per line; '#' starts a comment):
 //   mesh <width> <height> [torus]
 //   ring <routers>
-//   slots <S>                      # omit to let the tool search 8/16/32
+//   slots <S>                      # 1..64; omit to let the tool search 8/16/32
 //   clock <MHz>
 //   host <x,y>                     # NI of the configuration host
 //   connection <name> <src x,y> <dst x,y> <MB/s> [latency <ns>] [resp <MB/s>]
@@ -26,10 +26,13 @@
 //
 // Coordinates are NI grid positions. A `dnn` scenario (tile grid + layer
 // lines, fed from the `dram` ports) generates its own traffic and cannot
-// also declare connection/multicast/stream lines. The dnn/stream/energy/
-// dram directives parse strictly (std::from_chars, whole token — the
-// tools/cli_parse.hpp policy): trailing junk is a diagnostic, not a
-// silently different experiment.
+// also declare connection/multicast/stream lines. Every directive is
+// strict: each number is a whole token parsed by sim/parse.hpp (integers
+// base 10, rates and bandwidths finite decimals), a directive takes no
+// tokens past its grammar, and the wheel holds at most 64 slots (the
+// 64-bit slot masks of tdm::TdmParams::kMaxSlots). Trailing junk, a sign
+// on a count, `inf`/`nan` or `slots 65` is a "line N" diagnostic, never
+// a silently different experiment.
 
 #include <iosfwd>
 #include <optional>
@@ -92,5 +95,11 @@ struct Scenario {
 /// in `error` on malformed input.
 std::optional<Scenario> parse_scenario(std::istream& in, std::string* error = nullptr);
 std::optional<Scenario> parse_scenario_file(const std::string& path, std::string* error = nullptr);
+
+/// Synthetic corner-stress design point: four corner-to-opposite-corner
+/// unicasts plus a host-to-corners multicast, run for 5000 cycles. Enough
+/// contention to exercise the allocator at any size; daelite_batch --mesh
+/// and bench_fault_sweep run it.
+Scenario stress_scenario(int width, int height, bool torus = false);
 
 } // namespace daelite::soc

@@ -80,6 +80,42 @@ TEST(Scenario, DiagnosticsCarryLineNumbers) {
 
   EXPECT_FALSE(parse("mesh 2 2\n", &err).has_value()); // no connections
   EXPECT_NE(err.find("no connections"), std::string::npos);
+
+  // The original directives are as strict as the newer ones: every number
+  // is a whole finite token, and the wheel holds at most 64 slots. Each
+  // bad line sits on line 3 after a valid mesh and connection.
+  for (const char* bad : {"run -5", "run 3000cycles", "mesh 3 3x", "host 1,1x",
+                          "connection b 0,0 2,2 100MB", "slots 65", "slots 0", "clock nan",
+                          "connection b 0,0 2,2 inf", "connection b 0,0 2,2 100 latency 1e999",
+                          "multicast m 0,0 1,1 2,2 bw 50 extra", "mesh 3 3 torus extra",
+                          "ring 4x"}) {
+    err.clear();
+    EXPECT_FALSE(parse(std::string("mesh 3 3\nconnection a 0,0 2,2 100\n") + bad + "\n", &err))
+        << bad;
+    EXPECT_NE(err.find("line 3"), std::string::npos) << bad << " -> " << err;
+  }
+}
+
+TEST(Scenario, AcceptsWellFormedNumbersInEveryForm) {
+  // 64 slots is the largest wheel; scientific bandwidths are finite decimals.
+  auto sc = parse("mesh 3 3 torus\nslots 64\nclock 2.5e2\nconnection a 0,0 2,2 1e2\nrun 0\n");
+  ASSERT_TRUE(sc.has_value());
+  EXPECT_EQ(*sc->slots, 64u);
+  EXPECT_DOUBLE_EQ(sc->clock_mhz, 250.0);
+  EXPECT_DOUBLE_EQ(sc->raw[0].bandwidth, 100.0);
+  EXPECT_EQ(sc->run_cycles, 0u);
+}
+
+TEST(Scenario, StressScenarioIsCornerUnicastsPlusHostMulticast) {
+  const Scenario sc = stress_scenario(4, 3, /*torus=*/true);
+  EXPECT_EQ(sc.kind, Scenario::TopologyKind::kTorus);
+  EXPECT_EQ(sc.host, std::make_pair(2, 1));
+  EXPECT_EQ(sc.run_cycles, 5000u);
+  ASSERT_EQ(sc.raw.size(), 5u);
+  EXPECT_EQ(sc.raw[0].src, std::make_pair(0, 0));
+  EXPECT_EQ(sc.raw[0].dsts[0], std::make_pair(3, 2));
+  EXPECT_EQ(sc.raw[4].name, "bcast");
+  EXPECT_EQ(sc.raw[4].dsts.size(), 4u); // the host is no corner here
 }
 
 TEST(Scenario, BuildResolvesCoordinatesToNis) {

@@ -1,83 +1,69 @@
 // daelite_batch — parallel batch experiment runner.
 //
-//   daelite_batch [options] <scenario file>...
+//   daelite_batch [options] [RunSpec flags] <scenario file>...
 //
 //   --jobs N           worker threads (default: hardware concurrency)
 //   --out FILE         write the JSON results document (default: results.json)
-//   --slots A,B,C      sweep wheel sizes: run every scenario once per value
+//   --slots A,B,C      sweep wheel sizes (each in [1,64]): run every
+//                      scenario once per value
 //   --seeds K          sweep allocation-order seeds 1..K (default: one run, seed 0)
 //   --mesh WxHs,...    add synthetic corner-stress scenarios on these mesh
 //                      sizes (e.g. 3x3,4x4; suffix 't' for torus: 4x4t)
 //   --run-cycles C     override the run length of every job
-//   --shards N         intra-simulation shard threads per job (default 1);
-//                      composes with --jobs — N shard workers inside each
-//                      of the concurrently running jobs. Output is
-//                      byte-identical at any --shards value (CI diffs it)
-//   --soa              batched SoA slot dispatch inside every job
-//                      (hw::SlotEngine; stride scheduler only, ignored
-//                      under --scheduler reference). Byte-identical output,
-//                      like --shards — only wall-clock time changes
-//   --recover          arm the self-healing subsystem on every job (dead
-//                      links quarantined, connections re-routed mid-run;
-//                      reports carry a `recovery` section)
 //   --trace DIR        write one Chrome trace_event file per job into DIR
 //   --per-connection   print per-job connection latency tables on stderr
 //   --list             print the expanded job list and exit
 //   --quiet            suppress per-job progress lines on stderr
 //
+// The RunSpec flags (--scheduler, --shards, --soa, the --fault-*,
+// --recover/--preempt/--compact and --watchdog-* flags) are the grammar
+// daelite_sim shares — soc::parse_run_flag in src/soc/runner.hpp, flag
+// table in docs/ci.md — and apply to every job. --shards composes with
+// --jobs (N shard workers inside each concurrently running job); like
+// --soa it leaves the output byte-identical.
+//
 // The cross product of {scenarios + synthetic meshes} x {slots} x {seeds}
-// expands into independent jobs, each simulated on its own Kernel by the
-// sim::ThreadPool. Job order — and therefore the emitted document — is
-// fixed at expansion time, so `--jobs 8` output is byte-identical to
-// `--jobs 1` (wall-clock timing goes to stderr only, never into the JSON).
+// expands into independent jobs, each run by soc::run_job (the path
+// daelite_sim takes) on its own Kernel in the sim::ThreadPool. Job order —
+// and therefore the emitted document — is fixed at expansion time, so
+// `--jobs 8` output is byte-identical to `--jobs 1` (wall-clock timing
+// goes to stderr only, never into the JSON).
 // Exit status: 0 if every job met its contracts, 1 otherwise, 2 on usage
 // or spec errors.
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
 #include "sim/json.hpp"
 #include "sim/parallel.hpp"
-#include "sim/trace_sink.hpp"
+#include "sim/parse.hpp"
 #include "soc/runner.hpp"
-#include "cli_parse.hpp"
 
 using namespace daelite;
 
 namespace {
 
 int usage() {
-  std::cerr
-      << "usage: daelite_batch [options] <scenario file>...\n"
-         "  --jobs N         worker threads (default: hardware concurrency)\n"
-         "  --out FILE       JSON results document (default: results.json)\n"
-         "  --slots A,B,C    sweep wheel sizes across every scenario\n"
-         "  --seeds K        sweep allocation-order seeds 1..K\n"
-         "  --mesh WxH[t],.. add synthetic corner-stress scenarios (t = torus)\n"
-         "  --run-cycles C   override run length for every job\n"
-         "  --scheduler S    kernel cycle loop: stride (default) | reference\n"
-         "  --shards N       shard threads inside every job's simulation\n"
-         "  --soa            batched SoA slot dispatch inside every job (stride only)\n"
-         "  --trace DIR      one Chrome trace_event file per job in DIR\n"
-         "  --fault-seed N   seed for fault injection (with --fault-rate/plan)\n"
-         "  --fault-rate R   per-word fault probability in [0,1] on every link\n"
-         "  --fault-plan F   fault-plan file (see src/sim/fault.hpp)\n"
-         "  --recover        arm the self-healing subsystem on every job\n"
-         "  --preempt        let guaranteed repairs preempt best-effort connections\n"
-         "  --compact        re-pack non-guaranteed slots after every recovery wave\n"
-         "  --watchdog-retries N       config-watchdog retry budget\n"
-         "  --watchdog-timeout-mult X  scale on the derived watchdog timeout (> 0)\n"
-         "  --per-connection per-job connection latency tables on stderr\n"
-         "  --list           print the expanded job list and exit\n"
-         "  --quiet          no per-job progress on stderr\n";
+  std::cerr << "usage: daelite_batch [options] [RunSpec flags] <scenario file>...\n"
+               "  --jobs N         worker threads (default: hardware concurrency)\n"
+               "  --out FILE       JSON results document (default: results.json)\n"
+               "  --slots A,B,C    sweep wheel sizes (each in [1,64]) across every scenario\n"
+               "  --seeds K        sweep allocation-order seeds 1..K\n"
+               "  --mesh WxH[t],.. add synthetic corner-stress scenarios (t = torus)\n"
+               "  --run-cycles C   override run length for every job\n"
+               "  --trace DIR      one Chrome trace_event file per job in DIR\n"
+               "  --per-connection per-job connection latency tables on stderr\n"
+               "  --list           print the expanded job list and exit\n"
+               "  --quiet          no per-job progress on stderr\n"
+               "RunSpec flags, applied to every job:\n"
+            << soc::kRunFlagUsage;
   return 2;
 }
 
@@ -108,202 +94,84 @@ std::string base_name(const std::string& path) {
   return b;
 }
 
-/// Synthetic design-space point: four corner-to-opposite-corner streams
-/// plus a centre->corners multicast — enough contention to exercise the
-/// allocator at any mesh size (the reduced Table-3-style scaling sweep CI
-/// runs).
-bool make_stress_scenario(const std::string& spec, soc::Scenario* out, std::string* err) {
-  std::string dims = spec;
-  bool torus = false;
-  if (!dims.empty() && (dims.back() == 't' || dims.back() == 'T')) {
-    torus = true;
-    dims.pop_back();
-  }
-  // Strict WxH: both sides must be complete base-10 integers — "4x4garbage"
-  // or "4x" is a spec error, not a silently truncated 4x4 run.
-  const auto x = dims.find('x');
-  int w = 0, h = 0;
-  const bool parsed = x != std::string::npos &&
-                      tools::parse_int(std::string_view(dims).substr(0, x), &w) &&
-                      tools::parse_int(std::string_view(dims).substr(x + 1), &h);
-  if (!parsed || w < 2 || h < 2) {
-    *err = "bad mesh spec '" + spec + "' (want WxH with W,H >= 2, optional 't')";
-    return false;
-  }
-  soc::Scenario sc;
-  sc.kind = torus ? soc::Scenario::TopologyKind::kTorus : soc::Scenario::TopologyKind::kMesh;
-  sc.width = w;
-  sc.height = h;
-  sc.host = {w / 2, h / 2};
-  sc.run_cycles = 5000;
-  const int mx = w - 1, my = h - 1;
-  const std::pair<int, int> corners[4] = {{0, 0}, {mx, 0}, {0, my}, {mx, my}};
-  for (int i = 0; i < 4; ++i) {
-    soc::Scenario::RawConnection c;
-    c.name = "corner" + std::to_string(i);
-    c.src = corners[i];
-    c.dsts.push_back(corners[3 - i]);
-    c.bandwidth = 150.0;
-    sc.raw.push_back(std::move(c));
-  }
-  soc::Scenario::RawConnection mc;
-  mc.name = "bcast";
-  mc.src = sc.host;
-  for (const auto& c : corners)
-    if (c != sc.host) mc.dsts.push_back(c);
-  mc.bandwidth = 40.0;
-  sc.raw.push_back(std::move(mc));
-  *out = std::move(sc);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
+  struct Base {
+    std::string name;
+    soc::Scenario scenario;
+  };
   std::size_t jobs = sim::default_job_count();
   std::string out_path = "results.json";
   std::vector<std::uint32_t> slot_sweep;
   std::uint64_t seeds = 0;
-  std::vector<std::string> mesh_specs;
+  std::vector<Base> meshes;
   std::optional<sim::Cycle> run_cycles;
-  sim::Scheduler scheduler = sim::Scheduler::kStride;
-  std::uint32_t shards = 1;
-  bool soa = false;
-  sim::FaultPlan fault_plan;
-  bool recover = false;
-  bool preempt = false;
-  bool compact = false;
-  std::optional<std::uint32_t> watchdog_retries;
-  double watchdog_timeout_mult = 1.0;
+  soc::RunSpec shared; ///< the RunSpec flags, copied into every job
   std::string trace_dir;
   bool per_connection = false;
   bool list_only = false;
   bool quiet = false;
   std::vector<std::string> scenario_paths;
 
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "daelite_batch: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const auto bad_value = [](const char* flag, const char* what, const char* got) {
-      std::cerr << "daelite_batch: " << flag << " wants " << what << ", got '" << got << "'\n";
-      return 2;
-    };
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      const char* v = need("--jobs");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &jobs)) return bad_value("--jobs", "an integer", v);
-      if (jobs == 0) jobs = 1;
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      const char* v = need("--out");
-      if (!v) return usage();
-      out_path = v;
-    } else if (std::strcmp(argv[i], "--slots") == 0) {
-      const char* v = need("--slots");
-      if (!v) return usage();
+  sim::Args args("daelite_batch", argc, argv);
+  while (args.next()) {
+    const soc::RunFlag flag = soc::parse_run_flag(args, &shared);
+    if (flag == soc::RunFlag::kBad) return 2;
+    if (flag == soc::RunFlag::kTaken) continue;
+    bool ok = true;
+    if (args.is("--jobs")) {
+      ok = args.value(&jobs, "an integer");
+      jobs = std::max<std::size_t>(jobs, 1);
+    } else if (args.is("--out") || args.is("--trace")) {
+      const char* v = args.value();
+      if (v == nullptr) return 2;
+      (args.is("--out") ? out_path : trace_dir) = v;
+    } else if (args.is("--slots")) {
+      const char* v = args.value();
+      if (v == nullptr) return 2;
       for (const std::string& tok : split_csv(v)) {
         std::uint32_t s = 0;
-        if (!tools::parse_int(tok, &s) || s == 0) {
-          std::cerr << "daelite_batch: bad slot count '" << tok << "'\n";
+        if (!sim::parse_slots(tok, &s)) {
+          args.bad("wheel sizes in [1,64]", tok);
           return 2;
         }
         slot_sweep.push_back(s);
       }
-    } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      const char* v = need("--seeds");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &seeds)) return bad_value("--seeds", "an integer", v);
-    } else if (std::strcmp(argv[i], "--mesh") == 0) {
-      const char* v = need("--mesh");
-      if (!v) return usage();
-      for (auto& m : split_csv(v)) mesh_specs.push_back(m);
-    } else if (std::strcmp(argv[i], "--run-cycles") == 0) {
-      const char* v = need("--run-cycles");
-      if (!v) return usage();
+    } else if (args.is("--seeds")) {
+      ok = args.value(&seeds, "an integer");
+    } else if (args.is("--mesh")) {
+      const char* v = args.value();
+      if (v == nullptr) return 2;
+      for (const std::string& m : split_csv(v)) {
+        int w = 0, h = 0;
+        bool torus = false;
+        if (!sim::parse_extent(m, &w, &h, &torus) || w < 2 || h < 2) {
+          args.bad("WxH[t] with W,H >= 2", m);
+          return 2;
+        }
+        meshes.push_back({"stress_" + m, soc::stress_scenario(w, h, torus)});
+      }
+    } else if (args.is("--run-cycles")) {
       sim::Cycle c = 0;
-      if (!tools::parse_int(v, &c)) return bad_value("--run-cycles", "an integer", v);
+      ok = args.value(&c, "an integer");
       run_cycles = c;
-    } else if (std::strcmp(argv[i], "--scheduler") == 0) {
-      const char* v = need("--scheduler");
-      if (!v) return usage();
-      if (std::strcmp(v, "stride") == 0) {
-        scheduler = sim::Scheduler::kStride;
-      } else if (std::strcmp(v, "reference") == 0) {
-        scheduler = sim::Scheduler::kReference;
-      } else {
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need("--shards");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &shards)) return bad_value("--shards", "an integer", v);
-      if (shards == 0) shards = 1;
-    } else if (std::strcmp(argv[i], "--soa") == 0) {
-      soa = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      const char* v = need("--trace");
-      if (!v) return usage();
-      trace_dir = v;
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      const char* v = need("--fault-seed");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &fault_plan.seed)) return bad_value("--fault-seed", "an integer", v);
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      const char* v = need("--fault-rate");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &fault_plan.rate) || fault_plan.rate < 0.0 ||
-          fault_plan.rate > 1.0) {
-        return bad_value("--fault-rate", "a number in [0,1]", v);
-      }
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
-      const char* v = need("--fault-plan");
-      if (!v) return usage();
-      std::string ferr;
-      if (!sim::FaultPlan::parse_file(v, &fault_plan, &ferr)) {
-        std::cerr << "daelite_batch: " << ferr << "\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--recover") == 0) {
-      recover = true;
-    } else if (std::strcmp(argv[i], "--preempt") == 0) {
-      preempt = true;
-    } else if (std::strcmp(argv[i], "--compact") == 0) {
-      compact = true;
-    } else if (std::strcmp(argv[i], "--watchdog-retries") == 0) {
-      const char* v = need("--watchdog-retries");
-      if (!v) return usage();
-      std::uint32_t n = 0;
-      if (!tools::parse_int(v, &n)) return bad_value("--watchdog-retries", "an integer >= 0", v);
-      watchdog_retries = n;
-    } else if (std::strcmp(argv[i], "--watchdog-timeout-mult") == 0) {
-      const char* v = need("--watchdog-timeout-mult");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &watchdog_timeout_mult) || watchdog_timeout_mult <= 0.0) {
-        return bad_value("--watchdog-timeout-mult", "a number > 0", v);
-      }
-    } else if (std::strcmp(argv[i], "--per-connection") == 0) {
+    } else if (args.is("--per-connection")) {
       per_connection = true;
-    } else if (std::strcmp(argv[i], "--list") == 0) {
+    } else if (args.is("--list")) {
       list_only = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (args.is("--quiet")) {
       quiet = true;
-    } else if (argv[i][0] == '-') {
+    } else if (args.arg().starts_with('-')) {
       return usage();
     } else {
-      scenario_paths.push_back(argv[i]);
+      scenario_paths.emplace_back(args.arg());
     }
+    if (!ok) return 2;
   }
-  if (scenario_paths.empty() && mesh_specs.empty()) return usage();
+  if (scenario_paths.empty() && meshes.empty()) return usage();
 
   // --- Expand the job matrix (deterministic order) ---------------------------
-  struct Base {
-    std::string name;
-    soc::Scenario scenario;
-  };
   std::vector<Base> bases;
   for (const std::string& path : scenario_paths) {
     std::string error;
@@ -314,52 +182,22 @@ int main(int argc, char** argv) {
     }
     bases.push_back({base_name(path), std::move(*sc)});
   }
-  for (const std::string& spec : mesh_specs) {
-    soc::Scenario sc;
-    std::string error;
-    if (!make_stress_scenario(spec, &sc, &error)) {
-      std::cerr << "daelite_batch: " << error << "\n";
-      return 2;
-    }
-    bases.push_back({"stress_" + spec, std::move(sc)});
-  }
+  bases.insert(bases.end(), meshes.begin(), meshes.end());
 
+  std::vector<std::optional<std::uint32_t>> slot_list(slot_sweep.begin(), slot_sweep.end());
+  if (slot_list.empty()) slot_list.push_back(std::nullopt);
+  std::vector<std::uint64_t> seed_list;
+  for (std::uint64_t k = 1; k <= seeds; ++k) seed_list.push_back(k);
+  if (seed_list.empty()) seed_list.push_back(0);
   std::vector<soc::RunSpec> specs;
-  const std::vector<std::uint64_t> seed_list = [&] {
-    std::vector<std::uint64_t> s;
-    if (seeds == 0) {
-      s.push_back(0);
-    } else {
-      for (std::uint64_t k = 1; k <= seeds; ++k) s.push_back(k);
-    }
-    return s;
-  }();
   for (const Base& b : bases) {
-    const std::vector<std::optional<std::uint32_t>> slot_list = [&] {
-      std::vector<std::optional<std::uint32_t>> s;
-      if (slot_sweep.empty()) {
-        s.push_back(std::nullopt);
-      } else {
-        for (auto v : slot_sweep) s.push_back(v);
-      }
-      return s;
-    }();
     for (const auto& slots : slot_list) {
       for (std::uint64_t seed : seed_list) {
-        soc::RunSpec spec;
+        soc::RunSpec spec = shared;
         spec.scenario = b.scenario;
         spec.slots_override = slots;
         spec.run_cycles_override = run_cycles;
         spec.seed = seed;
-        spec.scheduler = scheduler;
-        spec.shards = shards;
-        spec.soa = soa;
-        spec.fault_plan = fault_plan;
-        spec.recovery.enabled = recover;
-        spec.recovery.preempt_best_effort = preempt;
-        spec.recovery.compact_after_recovery = compact;
-        spec.watchdog_retries = watchdog_retries;
-        spec.watchdog_timeout_mult = watchdog_timeout_mult;
         std::string label = b.name;
         if (slots) label += "[slots=" + std::to_string(*slots) + "]";
         if (seed) label += "[seed=" + std::to_string(seed) + "]";
@@ -388,27 +226,16 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto results = sim::parallel_map<analysis::NetworkReport>(
       specs.size(), jobs, [&](std::size_t i) {
-        // Each job records into its own tracer and writes its own file, so
-        // trace output is per-label and identical at any --jobs value.
-        soc::RunSpec spec = specs[i];
-        std::unique_ptr<sim::Tracer> tracer;
-        if (!trace_dir.empty()) {
-          tracer = std::make_unique<sim::Tracer>();
-          spec.tracer = tracer.get();
-        }
-        analysis::NetworkReport r;
-        try {
-          r = soc::run_scenario(spec);
-        } catch (const std::exception& e) {
-          r.label = spec.label;
-          r.error = std::string("exception: ") + e.what();
-        }
-        if (tracer != nullptr) {
-          const std::string path = trace_dir + "/" + trace_file_name(spec.label);
-          if (!sim::write_chrome_trace_file(path, *tracer)) {
-            std::lock_guard<std::mutex> lock(progress_mu);
-            std::cerr << "daelite_batch: cannot write " << path << "\n";
-          }
+        // Each job writes its own trace file, named by its label, so trace
+        // output is identical at any --jobs value.
+        const soc::RunSpec& spec = specs[i];
+        std::string trace_error;
+        analysis::NetworkReport r = soc::run_job(
+            spec, trace_dir.empty() ? "" : trace_dir + "/" + trace_file_name(spec.label),
+            &trace_error);
+        if (!trace_error.empty()) {
+          std::lock_guard<std::mutex> lock(progress_mu);
+          std::cerr << "daelite_batch: " << trace_error << "\n";
         }
         if (!quiet || per_connection) {
           std::lock_guard<std::mutex> lock(progress_mu);

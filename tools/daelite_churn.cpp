@@ -4,7 +4,7 @@
 //
 //   daelite_churn [options]
 //   --mesh WxH[t]      topology (t = torus), default 8x8
-//   --slots S          TDM wheel size, default 32
+//   --slots S          TDM wheel size in [1,64], default 32
 //   --requests N       operations to field, default 100000
 //   --seed X           workload seed, default 1
 //   --arrival-rate R   set-ups per simulated cycle, default 0.001
@@ -20,7 +20,8 @@
 //                      from-scratch allocator and fails (exit 1) unless the
 //                      decision digests match — the equivalence oracle.
 //   --json PATH        write the report document to PATH
-//   --quick            small preset (4x4, 5000 requests) for CI smoke
+//   --quick            small preset (4x4, 5000 requests) for CI smoke;
+//                      explicit --mesh / --requests override it
 //   --quiet            suppress the text summary
 //
 // QoS / graceful-degradation options (any of these marks the report
@@ -41,12 +42,15 @@
 //   --quarantine A:L   quarantine link L before request index A; repeatable.
 //                      `--quarantine A:clear` clears the whole set at A.
 //
+// Values parse whole-token through sim/parse.hpp and the shared
+// sim::Args diagnostics (the daelite_sim / daelite_batch front end): a
+// malformed, out-of-range or non-finite value is exit 2.
+//
 // The report contains no wall-clock data: the same invocation is
 // byte-identical run to run (CI pins this with cmp), and identical
 // between --mode incremental and --mode scratch.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -54,7 +58,7 @@
 
 #include "alloc/churn.hpp"
 #include "sim/json.hpp"
-#include "cli_parse.hpp"
+#include "sim/parse.hpp"
 #include "topology/generators.hpp"
 
 namespace {
@@ -81,67 +85,30 @@ struct MeshSpec {
   bool torus = false;
 };
 
-bool parse_class(std::string_view token, alloc::ServiceClass* out) {
-  if (token == "guaranteed") {
-    *out = alloc::ServiceClass::kGuaranteed;
-  } else if (token == "standard") {
-    *out = alloc::ServiceClass::kStandard;
-  } else if (token == "best_effort") {
-    *out = alloc::ServiceClass::kBestEffort;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// `C:N[:U]` — class, max live, optional max utilization.
-bool parse_quota(const std::string& spec, alloc::AdmissionControl* admission) {
+bool parse_quota(std::string_view spec, alloc::AdmissionControl* admission) {
   const auto c1 = spec.find(':');
-  if (c1 == std::string::npos) return false;
   alloc::ServiceClass cls;
-  if (!parse_class(std::string_view(spec).substr(0, c1), &cls)) return false;
-  const auto c2 = spec.find(':', c1 + 1);
-  auto& q = admission->quota[static_cast<std::size_t>(cls)];
-  if (!tools::parse_int(std::string_view(spec).substr(c1 + 1, c2 == std::string::npos
-                                                                  ? std::string::npos
-                                                                  : c2 - c1 - 1),
-                        &q.max_live))
+  if (c1 == std::string_view::npos || !alloc::parse_service_class(spec.substr(0, c1), &cls))
     return false;
-  if (c2 != std::string::npos) {
-    if (!tools::parse_double(std::string_view(spec).substr(c2 + 1), &q.max_utilization) ||
-        q.max_utilization <= 0.0 || q.max_utilization > 1.0)
-      return false;
-  }
-  return true;
+  const std::string_view rest = spec.substr(c1 + 1);
+  const auto c2 = rest.find(':');
+  auto& q = admission->quota[static_cast<std::size_t>(cls)];
+  if (!sim::parse_int(rest.substr(0, c2), &q.max_live)) return false;
+  return c2 == std::string_view::npos ||
+         (sim::parse_number(rest.substr(c2 + 1), &q.max_utilization) &&
+          q.max_utilization > 0.0 && q.max_utilization <= 1.0);
 }
 
 /// `A:L` (quarantine link L before request A) or `A:clear`.
-bool parse_quarantine(const std::string& spec, alloc::QuarantineEvent* out) {
+bool parse_quarantine(std::string_view spec, alloc::QuarantineEvent* out) {
   const auto c = spec.find(':');
-  if (c == std::string::npos) return false;
-  if (!tools::parse_int(std::string_view(spec).substr(0, c), &out->at_request)) return false;
-  const std::string_view rest = std::string_view(spec).substr(c + 1);
-  if (rest == "clear") {
-    out->clear = true;
-    out->link = 0;
-    return true;
-  }
-  out->clear = false;
-  return tools::parse_int(rest, &out->link);
-}
-
-bool parse_mesh(const std::string& spec, MeshSpec* out) {
-  std::string dims = spec;
-  out->torus = false;
-  if (!dims.empty() && (dims.back() == 't' || dims.back() == 'T')) {
-    out->torus = true;
-    dims.pop_back();
-  }
-  const auto x = dims.find('x');
-  return x != std::string::npos &&
-         tools::parse_int(std::string_view(dims).substr(0, x), &out->w) &&
-         tools::parse_int(std::string_view(dims).substr(x + 1), &out->h) && out->w >= 2 &&
-         out->h >= 2;
+  if (c == std::string_view::npos || !sim::parse_int(spec.substr(0, c), &out->at_request))
+    return false;
+  const std::string_view rest = spec.substr(c + 1);
+  out->clear = rest == "clear";
+  out->link = 0;
+  return out->clear || sim::parse_int(rest, &out->link);
 }
 
 sim::JsonValue report_to_json(const alloc::ChurnReport& r) {
@@ -220,160 +187,97 @@ int main(int argc, char** argv) {
   alloc::AdmissionControl admission;
   std::string mode = "incremental";
   std::string json_path;
-  bool quick = false;
   bool quiet = false;
 
+  // The --quick preset applies first, so explicit flags override it.
   for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "daelite_churn: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const auto bad_value = [](const char* flag, const char* what, const char* got) {
-      std::cerr << "daelite_churn: " << flag << " wants " << what << ", got '" << got << "'\n";
-      return 2;
-    };
-    if (std::strcmp(argv[i], "--mesh") == 0) {
-      const char* v = need("--mesh");
-      if (!v) return usage();
-      if (!parse_mesh(v, &mesh)) return bad_value("--mesh", "WxH[t] with W,H >= 2", v);
-    } else if (std::strcmp(argv[i], "--slots") == 0) {
-      const char* v = need("--slots");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &slots) || slots == 0 || slots > tdm::TdmParams::kMaxSlots)
-        return bad_value("--slots", "an integer in [1,64]", v);
-    } else if (std::strcmp(argv[i], "--requests") == 0) {
-      const char* v = need("--requests");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.requests)) return bad_value("--requests", "an integer", v);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      const char* v = need("--seed");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.workload.seed)) return bad_value("--seed", "an integer", v);
-    } else if (std::strcmp(argv[i], "--arrival-rate") == 0) {
-      const char* v = need("--arrival-rate");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.workload.arrival_rate) || run.workload.arrival_rate <= 0.0)
-        return bad_value("--arrival-rate", "a positive number", v);
-    } else if (std::strcmp(argv[i], "--hold") == 0) {
-      const char* v = need("--hold");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.workload.mean_hold_cycles) ||
-          run.workload.mean_hold_cycles <= 0.0)
-        return bad_value("--hold", "a positive number", v);
-    } else if (std::strcmp(argv[i], "--modify-frac") == 0) {
-      const char* v = need("--modify-frac");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.workload.modify_fraction) ||
-          run.workload.modify_fraction < 0.0 || run.workload.modify_fraction > 1.0)
-        return bad_value("--modify-frac", "a number in [0,1]", v);
-    } else if (std::strcmp(argv[i], "--multicast-frac") == 0) {
-      const char* v = need("--multicast-frac");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.workload.multicast_fraction) ||
-          run.workload.multicast_fraction < 0.0 || run.workload.multicast_fraction > 1.0)
-        return bad_value("--multicast-frac", "a number in [0,1]", v);
-    } else if (std::strcmp(argv[i], "--min-slots") == 0) {
-      const char* v = need("--min-slots");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.workload.min_slots) || run.workload.min_slots == 0)
-        return bad_value("--min-slots", "a positive integer", v);
-    } else if (std::strcmp(argv[i], "--max-slots") == 0) {
-      const char* v = need("--max-slots");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.workload.max_slots) || run.workload.max_slots == 0)
-        return bad_value("--max-slots", "a positive integer", v);
-    } else if (std::strcmp(argv[i], "--max-hops") == 0) {
-      const char* v = need("--max-hops");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &admission.max_path_hops)) return bad_value("--max-hops", "an integer", v);
-    } else if (std::strcmp(argv[i], "--max-latency") == 0) {
-      const char* v = need("--max-latency");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &admission.max_latency_cycles))
-        return bad_value("--max-latency", "an integer", v);
-    } else if (std::strcmp(argv[i], "--max-util") == 0) {
-      const char* v = need("--max-util");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &admission.max_utilization) || admission.max_utilization <= 0.0 ||
-          admission.max_utilization > 1.0)
-        return bad_value("--max-util", "a number in (0,1]", v);
-    } else if (std::strcmp(argv[i], "--gt-frac") == 0) {
-      const char* v = need("--gt-frac");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.workload.guaranteed_fraction) ||
-          run.workload.guaranteed_fraction < 0.0 || run.workload.guaranteed_fraction > 1.0)
-        return bad_value("--gt-frac", "a number in [0,1]", v);
-    } else if (std::strcmp(argv[i], "--be-frac") == 0) {
-      const char* v = need("--be-frac");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.workload.best_effort_fraction) ||
-          run.workload.best_effort_fraction < 0.0 || run.workload.best_effort_fraction > 1.0)
-        return bad_value("--be-frac", "a number in [0,1]", v);
-    } else if (std::strcmp(argv[i], "--preempt") == 0) {
+    if (std::string_view(argv[i]) != "--quick") continue;
+    mesh = {4, 4, false};
+    run.requests = 5000;
+    run.fragmentation_samples = 16;
+  }
+  const auto fraction = [](double f) { return f >= 0.0 && f <= 1.0; };
+  const auto positive = [](auto v) { return v > 0; };
+  sim::Args args("daelite_churn", argc, argv);
+  while (args.next()) {
+    auto& wl = run.workload;
+    bool ok = true;
+    if (args.is("--mesh")) {
+      ok = args.parse_value("WxH[t] with W,H >= 2", [&](std::string_view v) {
+        return sim::parse_extent(v, &mesh.w, &mesh.h, &mesh.torus) && mesh.w >= 2 && mesh.h >= 2;
+      });
+    } else if (args.is("--slots")) {
+      ok = args.parse_value("an integer in [1,64]",
+                            [&](std::string_view v) { return sim::parse_slots(v, &slots); });
+    } else if (args.is("--quota")) {
+      ok = args.parse_value("guaranteed|standard|best_effort:N[:U]",
+                            [&](std::string_view v) { return parse_quota(v, &admission); });
+    } else if (args.is("--quarantine")) {
+      ok = args.parse_value("A:L or A:clear", [&](std::string_view v) {
+        alloc::QuarantineEvent qe;
+        if (!parse_quarantine(v, &qe)) return false;
+        run.quarantine_events.push_back(qe);
+        return true;
+      });
+    } else if (args.is("--mode")) {
+      ok = args.parse_value("incremental|scratch|both", [&](std::string_view v) {
+        mode = v;
+        return mode == "incremental" || mode == "scratch" || mode == "both";
+      });
+    } else if (args.is("--json")) {
+      const char* v = args.value();
+      ok = v != nullptr;
+      if (ok) json_path = v;
+    } else if (args.is("--requests")) {
+      ok = args.value(&run.requests, "an integer");
+    } else if (args.is("--seed")) {
+      ok = args.value(&wl.seed, "an integer");
+    } else if (args.is("--arrival-rate")) {
+      ok = args.value(&wl.arrival_rate, "a positive number", positive);
+    } else if (args.is("--hold")) {
+      ok = args.value(&wl.mean_hold_cycles, "a positive number", positive);
+    } else if (args.is("--modify-frac")) {
+      ok = args.value(&wl.modify_fraction, "a number in [0,1]", fraction);
+    } else if (args.is("--multicast-frac")) {
+      ok = args.value(&wl.multicast_fraction, "a number in [0,1]", fraction);
+    } else if (args.is("--min-slots")) {
+      ok = args.value(&wl.min_slots, "a positive integer", positive);
+    } else if (args.is("--max-slots")) {
+      ok = args.value(&wl.max_slots, "a positive integer", positive);
+    } else if (args.is("--max-hops")) {
+      ok = args.value(&admission.max_path_hops, "an integer");
+    } else if (args.is("--max-latency")) {
+      ok = args.value(&admission.max_latency_cycles, "an integer");
+    } else if (args.is("--max-util")) {
+      ok = args.value(&admission.max_utilization, "a number in (0,1]",
+                      [](double u) { return u > 0.0 && u <= 1.0; });
+    } else if (args.is("--gt-frac")) {
+      ok = args.value(&wl.guaranteed_fraction, "a number in [0,1]", fraction);
+    } else if (args.is("--be-frac")) {
+      ok = args.value(&wl.best_effort_fraction, "a number in [0,1]", fraction);
+    } else if (args.is("--preempt")) {
       admission.preempt_best_effort = true;
-    } else if (std::strcmp(argv[i], "--quota") == 0) {
-      const char* v = need("--quota");
-      if (!v) return usage();
-      if (!parse_quota(v, &admission))
-        return bad_value("--quota", "guaranteed|standard|best_effort:N[:U]", v);
-    } else if (std::strcmp(argv[i], "--overload") == 0) {
+    } else if (args.is("--overload")) {
       run.overload.enabled = true;
-    } else if (std::strcmp(argv[i], "--pending") == 0) {
-      const char* v = need("--pending");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.overload.pending_capacity) || run.overload.pending_capacity == 0)
-        return bad_value("--pending", "a positive integer", v);
-    } else if (std::strcmp(argv[i], "--max-attempts") == 0) {
-      const char* v = need("--max-attempts");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.overload.max_attempts) || run.overload.max_attempts == 0)
-        return bad_value("--max-attempts", "a positive integer", v);
-    } else if (std::strcmp(argv[i], "--backoff") == 0) {
-      const char* v = need("--backoff");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.overload.backoff_cycles) || run.overload.backoff_cycles <= 0.0)
-        return bad_value("--backoff", "a positive number", v);
-    } else if (std::strcmp(argv[i], "--jitter") == 0) {
-      const char* v = need("--jitter");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &run.overload.jitter) || run.overload.jitter < 0.0)
-        return bad_value("--jitter", "a number >= 0", v);
-    } else if (std::strcmp(argv[i], "--compact-every") == 0) {
-      const char* v = need("--compact-every");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.compaction.every)) return bad_value("--compact-every", "an integer", v);
-    } else if (std::strcmp(argv[i], "--compact-moves") == 0) {
-      const char* v = need("--compact-moves");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &run.compaction.max_moves) || run.compaction.max_moves == 0)
-        return bad_value("--compact-moves", "a positive integer", v);
-    } else if (std::strcmp(argv[i], "--quarantine") == 0) {
-      const char* v = need("--quarantine");
-      if (!v) return usage();
-      alloc::QuarantineEvent qe;
-      if (!parse_quarantine(v, &qe)) return bad_value("--quarantine", "A:L or A:clear", v);
-      run.quarantine_events.push_back(qe);
-    } else if (std::strcmp(argv[i], "--mode") == 0) {
-      const char* v = need("--mode");
-      if (!v) return usage();
-      mode = v;
-      if (mode != "incremental" && mode != "scratch" && mode != "both")
-        return bad_value("--mode", "incremental|scratch|both", v);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      const char* v = need("--json");
-      if (!v) return usage();
-      json_path = v;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (args.is("--pending")) {
+      ok = args.value(&run.overload.pending_capacity, "a positive integer", positive);
+    } else if (args.is("--max-attempts")) {
+      ok = args.value(&run.overload.max_attempts, "a positive integer", positive);
+    } else if (args.is("--backoff")) {
+      ok = args.value(&run.overload.backoff_cycles, "a positive number", positive);
+    } else if (args.is("--jitter")) {
+      ok = args.value(&run.overload.jitter, "a number >= 0", [](double j) { return j >= 0.0; });
+    } else if (args.is("--compact-every")) {
+      ok = args.value(&run.compaction.every, "an integer");
+    } else if (args.is("--compact-moves")) {
+      ok = args.value(&run.compaction.max_moves, "a positive integer", positive);
+    } else if (args.is("--quiet")) {
       quiet = true;
-    } else {
-      std::cerr << "daelite_churn: unknown argument '" << argv[i] << "'\n";
+    } else if (!args.is("--quick")) {
+      std::cerr << "daelite_churn: unknown argument '" << args.arg() << "'\n";
       return usage();
     }
+    if (!ok) return 2;
   }
   if (run.workload.min_slots > run.workload.max_slots) {
     std::cerr << "daelite_churn: --min-slots must be <= --max-slots\n";
@@ -382,11 +286,6 @@ int main(int argc, char** argv) {
   if (run.workload.guaranteed_fraction + run.workload.best_effort_fraction > 1.0) {
     std::cerr << "daelite_churn: --gt-frac + --be-frac must be <= 1\n";
     return 2;
-  }
-  if (quick) {
-    mesh = {4, 4, false};
-    run.requests = 5000;
-    run.fragmentation_samples = 16;
   }
   run.admission = admission;
 

@@ -2,57 +2,30 @@
 //
 //   daelite_sim <scenario file> [--vcd out.vcd] [--json out.json]
 //               [--trace out.trace.json] [--per-connection] [--quiet]
-//               [--scheduler stride|reference] [--shards N] [--soa]
-//               [--fault-seed N] [--fault-rate R] [--fault-plan file]
+//               [RunSpec flags]
 //
-// Executes a scenario end to end through soc::run_scenario(): parse,
-// dimension (choosing the wheel size unless the scenario pins one),
-// instantiate the daelite network, configure every connection through the
-// broadcast tree, drive saturated traffic for the requested number of
-// cycles, and print the bandwidth / latency report plus schedule
-// utilization. Returns nonzero if any contract is missed or any flit is
-// dropped. --json additionally writes the metrics document the batch
-// runner (daelite_batch) emits for whole sweeps. --trace records every
-// hardware event into a bounded ring and writes a Chrome trace_event file
-// (open in chrome://tracing or Perfetto). --per-connection prints the
-// per-connection latency quantile table. --scheduler selects the kernel's
-// cycle loop: the default stride scheduler, or the per-cycle reference
-// loop whose reports and traces must be byte-identical (CI diffs them).
-// --shards N partitions the mesh into N bands of routers/NIs that tick and
-// commit on N threads inside the one simulation (stride scheduler only);
-// every shard count produces byte-identical reports and traces — CI diffs
-// --shards 1 against --shards 4 — so the flag only changes wall-clock time.
-// --soa switches the data path to batched structure-of-arrays slot dispatch
-// (hw::SlotEngine): one engine per shard band forwards the whole slot for
-// all its routers/NIs over flat slot-table pools, skipping idle elements.
-// Like --shards it is byte-identical and stride-only (ignored with
-// --scheduler reference, which stays the per-component oracle).
-// --fault-rate / --fault-plan enable deterministic fault injection on the
-// data and configuration links (see sim/fault.hpp for the plan grammar);
-// the report then carries a `health` section. --recover additionally arms
-// the self-healing subsystem (soc/health.hpp + runner recovery): links the
-// health monitor declares dead are quarantined and the affected
-// connections are torn down and re-set up on a new route mid-run; the
-// report then carries a `recovery` section. --preempt lets a guaranteed
-// connection that recovery cannot re-route tear down best-effort
-// connections (min-victims plan); --compact re-packs standard/best-effort
-// connections onto lower injection slots after every recovery wave; both
-// add a `service` section with per-class outcomes. --watchdog-retries and
-// --watchdog-timeout-mult tune the config module's response watchdog
-// (retry budget, and a scale on the depth-derived timeout).
+// A batch of one: the scenario runs through soc::run_job, the path every
+// daelite_batch job takes — dimension (choosing the wheel size unless the
+// scenario pins one), instantiate the daelite network, configure every
+// connection through the broadcast tree, drive traffic, measure — and the
+// bandwidth / latency report plus schedule utilization is printed. Exit 0
+// when every contract is met and nothing dropped, 1 otherwise, 2 on usage
+// or input errors. --json writes the metrics document daelite_batch emits
+// per job, --trace a Chrome trace_event file (chrome://tracing or
+// Perfetto), --vcd waveforms, --per-connection the per-connection latency
+// quantile table. The RunSpec flags (--scheduler, --shards, --soa, the
+// --fault-*, --recover/--preempt/--compact and --watchdog-* flags) are
+// the grammar daelite_batch shares: soc::parse_run_flag in
+// src/soc/runner.hpp, with the flag table in docs/ci.md.
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 
 #include "daelite/vcd_probes.hpp"
 #include "sim/json.hpp"
-#include "sim/trace_sink.hpp"
+#include "sim/parse.hpp"
 #include "soc/runner.hpp"
-#include "cli_parse.hpp"
 
 using namespace daelite;
 
@@ -61,11 +34,9 @@ namespace {
 int usage() {
   std::cerr << "usage: daelite_sim <scenario file> [--vcd out.vcd] [--json out.json]\n"
                "                   [--trace out.trace.json] [--per-connection] [--quiet]\n"
-               "                   [--scheduler stride|reference] [--shards N] [--soa]\n"
-               "                   [--fault-seed N] [--fault-rate R] [--fault-plan file]\n"
-               "                   [--recover] [--preempt] [--compact]\n"
-               "                   [--watchdog-retries N] [--watchdog-timeout-mult X]\n"
-               "see src/soc/scenario.hpp for the scenario grammar and\n"
+               "                   [RunSpec flags]\n"
+            << soc::kRunFlagUsage
+            << "see src/soc/scenario.hpp for the scenario grammar and\n"
                "src/sim/fault.hpp for the fault-plan grammar\n";
   return 2;
 }
@@ -79,86 +50,32 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool per_connection = false;
   bool quiet = false;
-  sim::Scheduler scheduler = sim::Scheduler::kStride;
-  std::uint32_t shards = 1;
-  bool soa = false;
-  sim::FaultPlan fault_plan;
-  bool recover = false;
-  bool preempt = false;
-  bool compact = false;
-  std::optional<std::uint32_t> watchdog_retries;
-  double watchdog_timeout_mult = 1.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--vcd") == 0 && i + 1 < argc) {
-      vcd_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--per-connection") == 0) {
+  soc::RunSpec spec;
+  sim::Args args("daelite_sim", argc, argv);
+  while (args.next()) {
+    const soc::RunFlag shared = soc::parse_run_flag(args, &spec);
+    if (shared == soc::RunFlag::kBad) return 2;
+    if (shared == soc::RunFlag::kTaken) continue;
+    std::string* path = args.is("--vcd")     ? &vcd_path
+                        : args.is("--json")  ? &json_path
+                        : args.is("--trace") ? &trace_path
+                                             : nullptr;
+    if (path != nullptr) {
+      const char* v = args.value();
+      if (v == nullptr) return 2;
+      *path = v;
+    } else if (args.is("--per-connection")) {
       per_connection = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (args.is("--quiet")) {
       quiet = true;
-    } else if (std::strcmp(argv[i], "--scheduler") == 0 && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "stride") {
-        scheduler = sim::Scheduler::kStride;
-      } else if (v == "reference") {
-        scheduler = sim::Scheduler::kReference;
-      } else {
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      if (!tools::parse_int(argv[++i], &shards) || shards == 0) {
-        std::cerr << "daelite_sim: --shards wants an integer >= 1, got '" << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--soa") == 0) {
-      soa = true;
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      if (!tools::parse_int(argv[++i], &fault_plan.seed)) {
-        std::cerr << "daelite_sim: --fault-seed wants an integer, got '" << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      if (!tools::parse_double(argv[++i], &fault_plan.rate) || fault_plan.rate < 0.0 ||
-          fault_plan.rate > 1.0) {
-        std::cerr << "daelite_sim: --fault-rate wants a number in [0,1], got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
-      // The file may also set seed/rate; CLI flags given later still win.
-      std::string ferr;
-      if (!sim::FaultPlan::parse_file(argv[++i], &fault_plan, &ferr)) {
-        std::cerr << "daelite_sim: " << ferr << "\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--recover") == 0) {
-      recover = true;
-    } else if (std::strcmp(argv[i], "--preempt") == 0) {
-      preempt = true;
-    } else if (std::strcmp(argv[i], "--compact") == 0) {
-      compact = true;
-    } else if (std::strcmp(argv[i], "--watchdog-retries") == 0 && i + 1 < argc) {
-      std::uint32_t n = 0;
-      if (!tools::parse_int(argv[++i], &n)) {
-        std::cerr << "daelite_sim: --watchdog-retries wants an integer >= 0, got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
-      watchdog_retries = n;
-    } else if (std::strcmp(argv[i], "--watchdog-timeout-mult") == 0 && i + 1 < argc) {
-      if (!tools::parse_double(argv[++i], &watchdog_timeout_mult) ||
-          watchdog_timeout_mult <= 0.0) {
-        std::cerr << "daelite_sim: --watchdog-timeout-mult wants a number > 0, got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
-    } else if (argv[i][0] == '-') {
+    } else if (args.arg().starts_with('-')) {
       return usage();
+    } else if (!scenario_path.empty()) {
+      args.fail("one scenario file per run, got '" + scenario_path + "' and '" +
+                std::string(args.arg()) + "' (daelite_batch runs several)");
+      return 2;
     } else {
-      scenario_path = argv[i];
+      scenario_path = args.arg();
     }
   }
   if (scenario_path.empty()) return usage();
@@ -169,25 +86,8 @@ int main(int argc, char** argv) {
     std::cerr << "daelite_sim: " << error << "\n";
     return 2;
   }
-
-  soc::RunSpec spec;
   spec.label = scenario_path;
-  spec.scenario = *scenario;
-  spec.scheduler = scheduler;
-  spec.shards = shards;
-  spec.soa = soa;
-  spec.fault_plan = fault_plan;
-  spec.recovery.enabled = recover;
-  spec.recovery.preempt_best_effort = preempt;
-  spec.recovery.compact_after_recovery = compact;
-  spec.watchdog_retries = watchdog_retries;
-  spec.watchdog_timeout_mult = watchdog_timeout_mult;
-
-  std::unique_ptr<sim::Tracer> tracer;
-  if (!trace_path.empty()) {
-    tracer = std::make_unique<sim::Tracer>();
-    spec.tracer = tracer.get();
-  }
+  spec.scenario = std::move(*scenario);
 
   // VCD probes attach once the network exists; the writer and sampler live
   // here so they survive until the run finishes.
@@ -207,7 +107,8 @@ int main(int argc, char** argv) {
     };
   }
 
-  const analysis::NetworkReport report = soc::run_scenario(spec);
+  std::string trace_error;
+  const analysis::NetworkReport report = soc::run_job(std::move(spec), trace_path, &trace_error);
   if (!report.error.empty()) {
     std::cerr << "daelite_sim: " << report.error << "\n";
     return 1;
@@ -223,8 +124,8 @@ int main(int argc, char** argv) {
     }
     os << report.to_json().dump(2) << "\n";
   }
-  if (tracer != nullptr && !sim::write_chrome_trace_file(trace_path, *tracer)) {
-    std::cerr << "daelite_sim: cannot open " << trace_path << "\n";
+  if (!trace_error.empty()) {
+    std::cerr << "daelite_sim: " << trace_error << "\n";
     return 2;
   }
   return report.ok ? 0 : 1;
