@@ -15,26 +15,21 @@
 // runner. Any mismatch — or an 8x8 idle-heavy speedup below 2x in the
 // full sweep — fails the bench.
 //
-// Each idle-heavy point also times the batched SoA dispatch path
-// (DaeliteNetwork::enable_soa — hw::SlotEngine forwarding whole slots
-// over flat slot-table pools, skipping idle elements) against the
-// component-path stride run, with the same identity checks. The SoA
-// speedup lands in BENCH_scale.json (soa_ms / soa_speedup per row,
-// soa_speedup_8x8_s16 at the gate point), where CI requires >= 1.0x on
-// the largest quick-mode mesh; the full sweep enforces a 2x floor
-// in-binary.
+// The stride runs go through the network's slot engines (hw::SlotEngine,
+// skipping idle elements); the reference ticks every router and NI
+// itself. The ref/stride speedup lands in BENCH_scale.json (speedup per
+// row, speedup_8x8_s16 at the gate point), where CI requires the same 2x
+// at 8x8 that the full sweep enforces in-binary.
 //
 // A second sweep measures sharded single-simulation parallelism
-// (Kernel::set_shards / DaeliteNetwork::assign_shards): saturated traffic
-// on large meshes, where every router and NI dispatches at every slot
-// start, timed at shard counts 1/2/4/8 — each point both on the component
-// path and with SoA engines (one per shard band). Every combination must
-// reproduce the shards=1 component digest and word count exactly
-// (sharding and SoA are pure wall-clock optimizations); the full sweep
-// additionally enforces a 2x speedup floor at 32x32 with 4 shards when
-// the machine has >= 4 hardware threads. The speedup curves are exported
-// into BENCH_scale.json (shard_rows), where CI gates the largest
-// quick-mode mesh at >= 1.0x.
+// (DaeliteNetwork::Options::shards — one slot engine per shard band):
+// saturated traffic on large meshes, where every router and NI dispatches
+// at every slot start, timed at shard counts 1/2/4/8. Every shard count
+// must reproduce the shards=1 digest and word count exactly (sharding is
+// a pure wall-clock optimization); the full sweep additionally enforces a
+// 2x speedup floor at 32x32 with 4 shards when the machine has >= 4
+// hardware threads. The speedup curves are exported into BENCH_scale.json
+// (shard_rows), where CI gates the largest quick-mode mesh at >= 1.0x.
 //
 // Usage: bench_scale [--quick] [--json [dir]]
 //   --quick   reduced sweep for CI smoke (fewer/smaller meshes, shorter
@@ -79,9 +74,8 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 /// activity. Only the simulated phases are timed (network construction
 /// and allocation are identical work for both schedulers).
 RunResult run_idle_heavy(sim::Scheduler scheduler, int n, std::uint32_t slots,
-                         sim::Cycle traffic_cycles, sim::Cycle idle_cycles, bool soa = false) {
+                         sim::Cycle traffic_cycles, sim::Cycle idle_cycles) {
   DaeliteRig rig(n, n, slots, alloc::SlotPolicy::kSpread, 32, scheduler);
-  if (soa) rig.net->enable_soa();
   const auto c1 = rig.connect(rig.mesh.ni(0, 0), {rig.mesh.ni(n - 1, n - 1)}, 2, 1);
   const auto c2 = rig.connect(rig.mesh.ni(n - 1, 0), {rig.mesh.ni(0, n - 1)}, 2, 1);
 
@@ -143,10 +137,8 @@ RunResult run_idle_heavy(sim::Scheduler scheduler, int n, std::uint32_t slots,
 /// (construction and broadcast-tree configuration are identical work at
 /// every shard count).
 RunResult run_saturated_sharded(std::uint32_t shards, int n, std::uint32_t slots,
-                                sim::Cycle traffic_cycles, bool soa = false) {
-  DaeliteRig rig(n, n, slots, alloc::SlotPolicy::kSpread, 32, sim::Scheduler::kStride);
-  if (shards > 1) rig.net->assign_shards(shards);
-  if (soa) rig.net->enable_soa();
+                                sim::Cycle traffic_cycles) {
+  DaeliteRig rig(n, n, slots, alloc::SlotPolicy::kSpread, 32, sim::Scheduler::kStride, shards);
   const std::pair<int, int> corners[4] = {{0, 0}, {n - 1, 0}, {0, n - 1}, {n - 1, n - 1}};
   std::vector<hw::ConnectionHandle> hs;
   for (int i = 0; i < 4; ++i) {
@@ -187,8 +179,8 @@ RunResult run_saturated_sharded(std::uint32_t shards, int n, std::uint32_t slots
 }
 
 /// End-to-end runner comparison: same synthetic scenario through every
-/// dispatch mode — per-cycle reference, component stride, SoA, sharded
-/// SoA — and the full NetworkReport JSON must match byte for byte.
+/// dispatch mode — per-cycle reference, stride, sharded stride — and the
+/// full NetworkReport JSON must match byte for byte.
 bool reports_identical(int n, std::uint32_t slots, sim::Cycle run_cycles) {
   soc::Scenario sc;
   sc.kind = soc::Scenario::TopologyKind::kMesh;
@@ -200,18 +192,15 @@ bool reports_identical(int n, std::uint32_t slots, sim::Cycle run_cycles) {
                     std::numeric_limits<double>::infinity()});
   sc.raw.push_back({"c1", {n - 1, 0}, {{0, n - 1}}, 100.0, 0.0,
                     std::numeric_limits<double>::infinity()});
-  const auto run = [&](sim::Scheduler scheduler, bool soa, std::uint32_t shards) {
+  const auto run = [&](sim::Scheduler scheduler, std::uint32_t shards) {
     soc::RunSpec spec;
     spec.scenario = sc;
     spec.scheduler = scheduler;
-    spec.soa = soa;
     spec.shards = shards;
     return soc::run_scenario(spec).to_json().dump(2);
   };
-  const std::string ref = run(sim::Scheduler::kReference, false, 1);
-  return run(sim::Scheduler::kStride, false, 1) == ref &&
-         run(sim::Scheduler::kStride, true, 1) == ref &&
-         run(sim::Scheduler::kStride, true, 2) == ref;
+  const std::string ref = run(sim::Scheduler::kReference, 1);
+  return run(sim::Scheduler::kStride, 1) == ref && run(sim::Scheduler::kStride, 2) == ref;
 }
 
 } // namespace
@@ -235,13 +224,10 @@ int main(int argc, char** argv) {
   TextTable t("Stride vs per-cycle reference, idle-heavy runs (" +
               std::to_string(traffic_cycles) + " traffic + " + std::to_string(idle_cycles) +
               " idle cycles)");
-  t.set_header({"mesh", "slots", "stride (ms)", "soa (ms)", "reference (ms)", "ref/stride",
-                "stride/soa", "identical"});
+  t.set_header({"mesh", "slots", "stride (ms)", "reference (ms)", "ref/stride", "identical"});
 
   bool all_identical = true;
-  bool soa_identical = true;
   double speedup_8x8 = 0.0;
-  double soa_speedup_8x8 = 0.0;
   for (int n : meshes) {
     for (std::uint32_t slots : slot_counts) {
       // Warm-up pass stabilises allocator/CPU caches before timing.
@@ -249,26 +235,16 @@ int main(int argc, char** argv) {
                            idle_cycles / 10);
       const RunResult s = run_idle_heavy(sim::Scheduler::kStride, n, slots, traffic_cycles,
                                          idle_cycles);
-      const RunResult a = run_idle_heavy(sim::Scheduler::kStride, n, slots, traffic_cycles,
-                                         idle_cycles, /*soa=*/true);
       const RunResult r = run_idle_heavy(sim::Scheduler::kReference, n, slots, traffic_cycles,
                                          idle_cycles);
       const bool same = s.words == r.words && s.cfg_cycles == r.cfg_cycles &&
                         s.end_cycle == r.end_cycle && s.digest == r.digest;
-      const bool soa_same = a.words == s.words && a.cfg_cycles == s.cfg_cycles &&
-                            a.end_cycle == s.end_cycle && a.digest == s.digest;
       all_identical = all_identical && same;
-      soa_identical = soa_identical && soa_same;
       const double speedup = s.ms > 0.0 ? r.ms / s.ms : 0.0;
-      const double soa_speedup = a.ms > 0.0 ? s.ms / a.ms : 0.0;
-      if (n == 8 && slots == 16) {
-        speedup_8x8 = speedup;
-        soa_speedup_8x8 = soa_speedup;
-      }
+      if (n == 8 && slots == 16) speedup_8x8 = speedup;
 
       t.add_row({std::to_string(n) + "x" + std::to_string(n), std::to_string(slots),
-                 fmt(s.ms, 2), fmt(a.ms, 2), fmt(r.ms, 2), fmt(speedup, 2) + "x",
-                 fmt(soa_speedup, 2) + "x", same && soa_same ? "yes" : "NO"});
+                 fmt(s.ms, 2), fmt(r.ms, 2), fmt(speedup, 2) + "x", same ? "yes" : "NO"});
 
       JsonValue row = JsonValue::object();
       row["mesh"] = n;
@@ -278,12 +254,9 @@ int main(int argc, char** argv) {
       row["words_delivered"] = s.words;
       row["cfg_cycles"] = s.cfg_cycles;
       row["stride_ms"] = s.ms;
-      row["soa_ms"] = a.ms;
       row["reference_ms"] = r.ms;
       row["speedup"] = speedup;
-      row["soa_speedup"] = soa_speedup;
       row["identical"] = same;
-      row["soa_identical"] = soa_same;
       jrows.push_back(std::move(row));
     }
   }
@@ -291,12 +264,11 @@ int main(int argc, char** argv) {
   std::cout << "The idle tail dominates: the stride scheduler dispatches routers/NIs\n"
                "only at slot starts, suspends the drained configuration tree, and\n"
                "fast-forwards spans where every active component is quiescent; the\n"
-               "reference ticks every component every cycle. The SoA column batches\n"
-               "each slot's forwarding into one engine pass over flat slot-table\n"
-               "pools and skips elements whose links are provably idle that slot.\n";
+               "reference ticks every component every cycle. The stride column's\n"
+               "slot engines also skip elements whose links are provably idle.\n";
 
   const bool report_ok = reports_identical(8, 16, quick ? 2000 : 10000);
-  std::cout << "8x8 end-to-end NetworkReport JSON (reference vs stride vs soa vs soa+shards): "
+  std::cout << "8x8 end-to-end NetworkReport JSON (reference vs stride vs 2 shards): "
             << (report_ok ? "identical" : "DIFFERENT") << "\n";
 
   // --- Shard sweep: saturated big meshes at 1/2/4/8 shards -------------------
@@ -309,8 +281,7 @@ int main(int argc, char** argv) {
   TextTable ts("Sharded single-simulation parallelism, saturated runs (" +
                std::to_string(shard_traffic) + " traffic cycles, " +
                std::to_string(hw_threads) + " hardware threads)");
-  ts.set_header({"mesh", "shards", "time (ms)", "soa (ms)", "speedup", "soa speedup",
-                 "identical"});
+  ts.set_header({"mesh", "shards", "time (ms)", "speedup", "identical"});
 
   JsonValue jshard = JsonValue::array();
   bool shards_identical = true;
@@ -321,20 +292,15 @@ int main(int argc, char** argv) {
       // Warm-up pass stabilises allocator/CPU caches before timing.
       (void)run_saturated_sharded(shards, n, 16, shard_traffic / 10);
       const RunResult r = run_saturated_sharded(shards, n, 16, shard_traffic);
-      const RunResult a = run_saturated_sharded(shards, n, 16, shard_traffic, /*soa=*/true);
       if (shards == 1) base = r;
       const bool same = r.words == base.words && r.cfg_cycles == base.cfg_cycles &&
-                        r.end_cycle == base.end_cycle && r.digest == base.digest &&
-                        a.words == base.words && a.cfg_cycles == base.cfg_cycles &&
-                        a.end_cycle == base.end_cycle && a.digest == base.digest;
+                        r.end_cycle == base.end_cycle && r.digest == base.digest;
       shards_identical = shards_identical && same;
       const double speedup = r.ms > 0.0 ? base.ms / r.ms : 0.0;
-      const double soa_speedup = a.ms > 0.0 ? base.ms / a.ms : 0.0;
       if (n == 32 && shards == 4) shard_speedup_32_s4 = speedup;
 
       ts.add_row({std::to_string(n) + "x" + std::to_string(n), std::to_string(shards),
-                  fmt(r.ms, 2), fmt(a.ms, 2), fmt(speedup, 2) + "x", fmt(soa_speedup, 2) + "x",
-                  same ? "yes" : "NO"});
+                  fmt(r.ms, 2), fmt(speedup, 2) + "x", same ? "yes" : "NO"});
 
       JsonValue row = JsonValue::object();
       row["mesh"] = n;
@@ -342,9 +308,7 @@ int main(int argc, char** argv) {
       row["traffic_cycles"] = shard_traffic;
       row["words_delivered"] = r.words;
       row["ms"] = r.ms;
-      row["soa_ms"] = a.ms;
       row["speedup"] = speedup;
-      row["soa_speedup"] = soa_speedup;
       row["identical"] = same;
       jshard.push_back(std::move(row));
     }
@@ -352,8 +316,7 @@ int main(int argc, char** argv) {
   ts.print(std::cout);
   std::cout << "Sharding splits each slot start's mesh-wide dispatch across threads\n"
                "inside one kernel; the TDM schedule guarantees one slot of lookahead\n"
-               "on every cross-shard link, so every shard count is byte-identical.\n"
-               "The soa column runs one SlotEngine per shard band on top.\n";
+               "on every cross-shard link, so every shard count is byte-identical.\n";
 
   const std::string json_path = bench::json_out_path(argc, argv, "scale");
   if (!json_path.empty()) {
@@ -361,8 +324,6 @@ int main(int argc, char** argv) {
     doc["quick"] = quick;
     doc["rows"] = std::move(jrows);
     doc["speedup_8x8_s16"] = speedup_8x8;
-    doc["soa_speedup_8x8_s16"] = soa_speedup_8x8;
-    doc["soa_identical"] = soa_identical;
     doc["reports_identical_8x8"] = report_ok;
     doc["shard_rows"] = std::move(jshard);
     doc["shards_identical"] = shards_identical;
@@ -375,20 +336,12 @@ int main(int argc, char** argv) {
     std::cerr << "bench_scale: scheduler outputs differ\n";
     return 1;
   }
-  if (!soa_identical) {
-    std::cerr << "bench_scale: SoA outputs differ from the component path\n";
-    return 1;
-  }
   if (!shards_identical) {
     std::cerr << "bench_scale: sharded outputs differ from shards=1\n";
     return 1;
   }
   if (!quick && speedup_8x8 < 2.0) {
     std::cerr << "bench_scale: 8x8 idle-heavy speedup " << speedup_8x8 << "x below the 2x floor\n";
-    return 1;
-  }
-  if (!quick && soa_speedup_8x8 < 2.0) {
-    std::cerr << "bench_scale: 8x8 SoA speedup " << soa_speedup_8x8 << "x below the 2x floor\n";
     return 1;
   }
   // The shard floor is gated on real parallel hardware: correctness (the

@@ -60,13 +60,14 @@ struct DaeliteRig {
   DaeliteRig(int w, int h, std::uint32_t slots,
              alloc::SlotPolicy policy = alloc::SlotPolicy::kSpread,
              std::size_t queue_cap = 32,
-             sim::Scheduler scheduler = sim::Scheduler::kStride)
+             sim::Scheduler scheduler = sim::Scheduler::kStride, std::uint32_t shards = 1)
       : kernel(scheduler) {
     mesh = topo::make_mesh(w, h);
     hw::DaeliteNetwork::Options opt;
     opt.tdm = tdm::daelite_params(slots);
     opt.cfg_root = mesh.ni(0, 0);
     opt.ni_queue_capacity = queue_cap;
+    opt.shards = shards;
     net = std::make_unique<hw::DaeliteNetwork>(kernel, mesh.topo, opt);
     alloc::AllocatorOptions ao;
     ao.slot_policy = policy;

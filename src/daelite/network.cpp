@@ -84,6 +84,29 @@ DaeliteNetwork::DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Optio
   for (topo::NodeId n : cfg_tree_.bfs_order) agents.push_back(&agent_of(n));
   config_module_->manage_tree(std::move(agents),
                               ConfigModule::drain_cycles(cfg_tree_.max_depth()));
+
+  // The stride data path: one slot engine per shard band, band b covering
+  // node ids [ceil(b*n/bands), ceil((b+1)*n/bands)). The reference
+  // scheduler ignores suspension, so there every element ticks itself.
+  if (k.scheduler() != sim::Scheduler::kStride) return;
+  k.set_shards(options_.shards);
+  const std::uint32_t bands = k.shards(); // after clamping
+  const std::size_t n = topo.node_count();
+  for (std::uint32_t b = 0; b < bands; ++b) {
+    const std::size_t lo = (b * n + bands - 1) / bands;
+    const std::size_t hi = ((b + 1) * n + bands - 1) / bands;
+    if (lo == hi) continue;
+    auto engine = std::make_unique<SlotEngine>(k, "slot_engine" + std::to_string(b), options_.tdm);
+    for (auto id = static_cast<topo::NodeId>(lo); id < hi; ++id) {
+      if (topo.is_router(id)) {
+        engine->add_router(*routers_.at(id));
+      } else {
+        engine->add_ni(*nis_.at(id));
+      }
+    }
+    engine->finalize(b);
+    engines_.push_back(std::move(engine));
+  }
 }
 
 // --- Queue management ----------------------------------------------------------
@@ -320,52 +343,6 @@ std::uint64_t DaeliteNetwork::total_protocol_errors() const {
   for (const auto& [id, r] : routers_) n += r->config_agent().protocol_errors();
   for (const auto& [id, ni] : nis_) n += ni->config_agent().protocol_errors();
   return n;
-}
-
-// --- Sharded execution ---------------------------------------------------------------
-
-void DaeliteNetwork::assign_shards(std::uint32_t shards) {
-  kernel_->set_shards(shards);
-  shards = kernel_->shards(); // after clamping
-  if (shards <= 1) {
-    for (auto& [id, r] : routers_) kernel_->assign_shard(*r, sim::Kernel::kNoShard);
-    for (auto& [id, ni] : nis_) kernel_->assign_shard(*ni, sim::Kernel::kNoShard);
-    return;
-  }
-  const std::size_t n = topo_->node_count();
-  for (topo::NodeId id = 0; id < n; ++id) {
-    const auto s = static_cast<std::uint32_t>(static_cast<std::uint64_t>(id) * shards / n);
-    if (topo_->is_router(id)) {
-      kernel_->assign_shard(*routers_.at(id), s);
-    } else {
-      kernel_->assign_shard(*nis_.at(id), s);
-    }
-  }
-}
-
-bool DaeliteNetwork::enable_soa() {
-  if (kernel_->scheduler() == sim::Scheduler::kReference) return false;
-  if (!engines_.empty()) return true;
-  const std::uint32_t bands = std::max<std::uint32_t>(1, kernel_->shards());
-  const std::size_t n = topo_->node_count();
-  // One engine per shard band, covering the same contiguous node-id range
-  // assign_shards() uses, so sharded SoA runs keep the band partition.
-  for (std::uint32_t b = 0; b < bands; ++b) {
-    auto engine =
-        std::make_unique<SlotEngine>(*kernel_, "soa" + std::to_string(b), options_.tdm);
-    for (topo::NodeId id = 0; id < n; ++id) {
-      if (static_cast<std::uint32_t>(static_cast<std::uint64_t>(id) * bands / n) != b) continue;
-      if (topo_->is_router(id)) {
-        engine->add_router(*routers_.at(id));
-      } else {
-        engine->add_ni(*nis_.at(id));
-      }
-    }
-    if (engine->element_count() == 0) continue;
-    engine->finalize(b);
-    engines_.push_back(std::move(engine));
-  }
-  return true;
 }
 
 // --- Fault injection -----------------------------------------------------------------

@@ -63,6 +63,17 @@ class DaeliteNetwork {
     /// loss detection for robustness on congested trees; the product is
     /// clamped to at least one cycle.
     double cfg_timeout_mult = 1.0;
+    /// Worker shards for single-run parallelism (stride scheduler only;
+    /// clamped to [1, 64]). The data path runs as one hw::SlotEngine per
+    /// shard band: a contiguous range of node ids, so row-major meshes
+    /// shard into row bands and most links stay band-internal. Only the
+    /// routers and NIs are banded — their ticks read committed link
+    /// registers and write their own state, the contract sharded
+    /// components must obey (sim/kernel.hpp). Config agents, the config
+    /// module, and any injector/monitor stay in the kernel's serial set.
+    /// Reports and traces are byte-identical for every shard count and
+    /// under the reference scheduler, which builds no engine at all.
+    std::uint32_t shards = 1;
   };
 
   DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Options options);
@@ -131,33 +142,6 @@ class DaeliteNetwork {
   std::uint64_t total_corrupt_words() const;
   std::uint64_t total_lost_words() const;
 
-  // --- Sharded execution -------------------------------------------------------
-
-  /// Partition the mesh for sharded single-run parallelism: configure the
-  /// kernel for `shards` worker shards and assign every router and NI to a
-  /// contiguous band of node ids (row-major meshes shard into row bands, so
-  /// most links stay shard-internal and only band-boundary links cross).
-  /// Only the data-path elements are sharded — their ticks read committed
-  /// link registers and write their own state, the contract sharded
-  /// components must obey (sim/kernel.hpp). Config agents, the config
-  /// module, and any injector/monitor stay in the kernel's serial set,
-  /// preserving their single-threaded dispatch and commit order. shards <= 1
-  /// restores fully serial execution. Reports and traces are byte-identical
-  /// for every shard count; only wall-clock time changes.
-  void assign_shards(std::uint32_t shards);
-
-  /// Switch the data path to batched SoA slot dispatch (hw::SlotEngine):
-  /// one engine per shard band (one total when unsharded) takes over
-  /// ticking and committing the band's routers and NIs over flat slot-
-  /// table pools, with idle elements skipped outright. Byte-identical
-  /// reports and traces; only wall-clock time changes. Call after
-  /// assign_shards() and before running traffic or attaching an
-  /// injector/monitor. Returns false (and changes nothing) under the
-  /// reference scheduler, which ignores suspension — the oracle stays
-  /// per-component. Idempotent.
-  bool enable_soa();
-  bool soa_enabled() const { return !engines_.empty(); }
-
   // --- Fault injection ---------------------------------------------------------
 
   /// Register every link of the selected classes (kData: data links in
@@ -183,9 +167,9 @@ class DaeliteNetwork {
   std::map<topo::NodeId, std::unique_ptr<Router>> routers_;
   std::map<topo::NodeId, std::unique_ptr<Ni>> nis_;
   std::unique_ptr<ConfigModule> config_module_;
-  /// Batched dispatch engines (enable_soa), one per shard band. Declared
-  /// after the elements so they are destroyed first — their slot-table
-  /// pools outlive every rebound table.
+  /// Data-path dispatch engines (stride scheduler), one per shard band.
+  /// Declared after the elements so they are destroyed first and never
+  /// hold a dangling element pointer.
   std::vector<std::unique_ptr<SlotEngine>> engines_;
 
   std::map<topo::NodeId, std::vector<bool>> tx_queue_used_;

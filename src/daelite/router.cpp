@@ -26,22 +26,26 @@ Router::Router(sim::Kernel& k, std::string name, std::uint16_t cfg_id, std::size
   assert(params_.slot_shift_per_hop() == 1 && "hardware model requires hop_cycles == words_per_slot");
   assert(num_inputs <= 8 && num_outputs <= 8 && "port ids are 3 bits in config words");
   for (auto& o : outputs_) own(o);
-  consumed_.resize(num_inputs, false);
   forwarded_per_out_.resize(num_outputs, 0);
 }
 
 void Router::tick() {
   if (!params_.is_slot_start(now())) return;
-  const tdm::Slot slot = params_.slot_of_cycle(now());
+  forward(params_.slot_of_cycle(now()));
+}
 
-  consumed_.assign(consumed_.size(), false);
+std::uint8_t Router::forward(tdm::Slot slot) {
+  const std::uint8_t scheduled = table_.out_mask(slot);
+  std::uint8_t consumed = 0;
+  std::uint8_t valid_out = 0;
   for (std::size_t o = 0; o < outputs_.size(); ++o) {
-    const tdm::PortIndex in = table_.input_for(o, slot);
     Flit f{};
+    const tdm::PortIndex in = (scheduled >> o) & 1u ? table_.input_for(o, slot) : tdm::kUnusedPort;
     if (in != tdm::kUnusedPort && in < inputs_.size() && inputs_[in] != nullptr) {
       f = inputs_[in]->get();
       if (f.valid) {
-        consumed_[in] = true;
+        consumed |= static_cast<std::uint8_t>(1u << in);
+        valid_out |= static_cast<std::uint8_t>(1u << o);
         ++stats_.flits_forwarded;
         ++forwarded_per_out_[o];
         trace(sim::TraceEvent::kFlitForward, o, in);
@@ -52,13 +56,12 @@ void Router::tick() {
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     if (inputs_[i] == nullptr || !inputs_[i]->get().valid) continue;
     ++stats_.flits_in;
-    if (!consumed_[i]) {
-      ++stats_.flits_dropped;
-      trace(sim::TraceEvent::kFlitDrop, slot, i);
-      sim::log_debug(name(), "dropped flit at input ", i, " slot ", slot,
-                     " (no slot-table entry)");
-    }
+    if ((consumed >> i) & 1u) continue;
+    ++stats_.flits_dropped;
+    trace(sim::TraceEvent::kFlitDrop, slot, i);
+    sim::log_debug(name(), "dropped flit at input ", i, " slot ", slot, " (no slot-table entry)");
   }
+  return valid_out;
 }
 
 bool Router::quiescent() const {

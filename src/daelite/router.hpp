@@ -87,10 +87,18 @@ class Router : public sim::Component, public ConfigTarget {
   void cfg_bus_write(std::uint8_t, std::uint16_t) override { ++stats_.cfg_errors; }
 
  private:
-  /// The batched dispatcher inlines this router's forwarding loop over
-  /// pooled slot tables (see daelite/slot_engine.hpp), reading and
-  /// writing exactly the members tick() does.
+  /// The slot engine dispatches forward() itself and skips a router whose
+  /// inputs carry nothing (see daelite/slot_engine.hpp); it reads inputs_
+  /// to decide.
   friend class SlotEngine;
+
+  /// One slot of the crossbar — the forwarding rule every dispatcher runs
+  /// (tick() on slot starts, hw::SlotEngine for the routers it drives).
+  /// Each output latches the flit on the input its table entry names, or
+  /// an invalid flit when the entry is unused or the input carries none;
+  /// a valid input no output took is a drop. Returns the outputs that
+  /// latched a valid flit.
+  std::uint8_t forward(tdm::Slot slot);
 
   std::uint16_t cfg_id_;
   tdm::TdmParams params_;
@@ -100,7 +108,6 @@ class Router : public sim::Component, public ConfigTarget {
   ConfigAgent cfg_agent_;
   Stats stats_;
   std::vector<std::uint64_t> forwarded_per_out_; ///< per-output-link forwarded flits
-  std::vector<bool> consumed_; ///< per-tick scratch: inputs consumed this slot
 };
 
 } // namespace daelite::hw

@@ -1,49 +1,43 @@
 #pragma once
-// Batched slot dispatch over structure-of-arrays slot-table pools.
+// Batched slot dispatch: the stride scheduler's data path.
 //
-// After the stride scheduler (PR 3) and sharding (PR 6), the remaining
-// per-slot cost is virtual tick() dispatch over pointer-chased per-router
-// state: every router and NI is its own Component, each tick re-derives
-// the slot, walks its own heap-allocated slot table, and re-writes its
-// output registers even when the whole neighbourhood is idle.
+// Routers and NIs act only on slot boundaries, and in most slots most of
+// them have nothing to do. Dispatched one Component at a time, every one
+// of them still pays a virtual tick(), a slot re-derivation and a commit
+// of every output register, even when its whole neighbourhood is idle.
 //
-// A SlotEngine replaces per-component dispatch for one band of elements
-// (routers + NIs in ascending node-id order — one band per shard, the
-// same contiguous partition assign_shards() uses). At finalize():
+// A SlotEngine dispatches one band of elements (routers + NIs in
+// ascending node-id order; DaeliteNetwork builds one engine per shard
+// band). At finalize() it suspends the elements (Kernel::suspend): the
+// engine, a single Component with the same words_per_slot cadence, ticks
+// and commits on their behalf. It enters the kernel's staged dispatch
+// path (Kernel::assign_shard + set_dispatch_weight), which runs
+// shard-assigned work before the serial set — preserving the
+// element-before-config-agent tick order the serial loop has — and keys
+// each element's trace records by its own registration index
+// (Kernel::set_stage_key), so they merge back exactly where a serial run
+// records them.
 //
-//  * every router slot table and NI tx/rx table is rebound into flat
-//    pools owned by the engine (tdm::*SlotTable::rebind) — one
-//    allocation per kind, indexed (element, output, slot) — so the
-//    dispatch loop walks contiguous memory and the per-slot uint8
-//    output masks live in one cache-friendly array;
-//  * the elements are suspended (Kernel::suspend): the engine, a single
-//    Component with the same words_per_slot cadence, ticks and commits
-//    on their behalf;
-//  * the engine enters the kernel's staged dispatch path
-//    (Kernel::assign_shard + set_dispatch_weight), which runs
-//    shard-assigned work before the serial set — preserving the
-//    element-before-config-agent tick order the serial loop has, and
-//    merging relayed trace records (Kernel::trace_as/set_stage_key)
-//    back at each element's registration index for byte-identical
-//    traces.
+// Forwarding itself is Router::forward, the one rule Router::tick runs
+// under the reference scheduler; NIs run their own slot_tick. The win is
+// skipping: an element whose links are provably idle this slot — no
+// valid flit on any input, no valid flit latched on any output (tracked
+// as a per-router uint8 `valid_out` superset; fault injection can only
+// clear valid bits, never set them), and for NIs nothing queued and no
+// credits owed (Ni::slot_quiet) — is skipped entirely, tick AND commit.
+// Skipping is exact for everything observable (registers' valid bits,
+// counters, traces, reports): the only divergence is the payload bytes of
+// stale *invalid* flits left in output registers, which every consumer
+// gates on `valid` before reading. The VCD probes (vcd_probes.hpp) are
+// the exception: they sample NI payloads ungated, and a ctest
+// (cli_vcd_scheduler_identity) pins their output against the reference
+// on the shipped scenarios. External queue writes
+// to skipped NIs still commit through the kernel's touched pass, which
+// the engine leaves untouched for elements it did not tick.
 //
-// The win is twofold. Dispatch cost: router forwarding is one inlined
-// loop over the pools instead of a virtual call per element. Skip cost:
-// an element whose links are provably idle this slot — no valid flit on
-// any input, no valid flit latched on any output (tracked as a per-lane
-// uint8 `valid_out` superset; fault injection can only clear valid
-// bits, never set them), and for NIs nothing queued and no credits owed
-// (Ni::slot_quiet) — is skipped entirely, tick AND commit. Skipping is
-// exact for everything observable (registers' valid bits, counters,
-// traces, reports): the only divergence is the payload bytes of stale
-// *invalid* flits left in output registers, which every consumer gates
-// on `valid` before reading. External queue writes to skipped NIs still
-// commit through the kernel's touched pass, which the engine leaves
-// untouched for elements it did not tick.
-//
-// The reference scheduler ignores suspension, so SoA is a stride-only
-// mode (DaeliteNetwork::enable_soa refuses under kReference) and the
-// reference remains the byte-identity oracle.
+// The reference scheduler ignores suspension, so DaeliteNetwork builds no
+// engine under kReference: there every element ticks itself, and the
+// reference remains the byte-identity oracle for this path.
 
 #include <cstdint>
 #include <string>
@@ -53,7 +47,6 @@
 #include "daelite/router.hpp"
 #include "sim/component.hpp"
 #include "tdm/params.hpp"
-#include "tdm/slot_table.hpp"
 
 namespace daelite::hw {
 
@@ -62,15 +55,15 @@ class SlotEngine final : public sim::Component {
   SlotEngine(sim::Kernel& k, std::string name, tdm::TdmParams params);
 
   /// Add elements in ascending kernel-registration order (ascending node
-  /// id): relayed trace records stage under each element's registration
-  /// index, and the staged buffer must stay ascending for the kernel's
-  /// k-way merge. Call before finalize(); elements must be fully wired.
+  /// id): trace records stage under each element's registration index,
+  /// and the staged buffer must stay ascending for the kernel's k-way
+  /// merge. Call before finalize(); elements must be fully wired and
+  /// carry no valid flit yet.
   void add_router(Router& r);
   void add_ni(Ni& n);
 
-  /// Build the pools, rebind every added element's slot tables into
-  /// them, suspend the elements, and enter the kernel's staged dispatch
-  /// path on `shard`. Call once, before the simulation runs traffic.
+  /// Suspend every added element and enter the kernel's staged dispatch
+  /// path on `shard`. Call once, before the simulation runs.
   void finalize(std::uint32_t shard);
 
   std::size_t element_count() const { return items_.size(); }
@@ -85,33 +78,20 @@ class SlotEngine final : public sim::Component {
   bool quiescent() const override;
 
  private:
-  struct RouterLane {
-    Router* r = nullptr;
-    std::uint32_t nout = 0;
-    std::uint32_t nin = 0;
-    const sim::Reg<Flit>* inputs[8] = {};
-    sim::Reg<Flit>* outputs = nullptr;       ///< -> the router's output regs
-    std::uint64_t* fwd = nullptr;            ///< -> forwarded_per_out_
-    Router::Stats* stats = nullptr;
-    const tdm::PortIndex* entries = nullptr; ///< pooled, [nout * num_slots]
-    const std::uint8_t* masks = nullptr;     ///< pooled, [num_slots]
-    std::uint8_t valid_out = 0;              ///< superset of valid committed outputs
-  };
-  /// One dispatch slot, in element registration order.
+  /// One dispatch slot, in element registration order; exactly one of
+  /// router / ni is set.
   struct Item {
-    Ni* ni = nullptr;       ///< nullptr: router lane
-    std::uint32_t lane = 0; ///< index into routers_ when ni == nullptr
+    Router* router = nullptr;
+    Ni* ni = nullptr;
+    std::uint8_t valid_out = 0; ///< router: superset of its valid committed outputs
+    sim::Component& element() const {
+      return router != nullptr ? static_cast<sim::Component&>(*router) : *ni;
+    }
   };
-
-  void tick_router(RouterLane& ln, tdm::Slot slot);
 
   tdm::TdmParams params_;
-  std::vector<RouterLane> routers_;
   std::vector<Item> items_;
-  std::vector<tdm::PortIndex> entry_pool_;   ///< router tables, (element, output, slot)
-  std::vector<std::uint8_t> mask_pool_;      ///< per-slot output masks, (element, slot)
-  std::vector<tdm::ChannelId> ni_table_pool_; ///< NI tx then rx, (element, slot)
-  std::vector<sim::Component*> ticked_;      ///< elements dispatched this slot
+  std::vector<sim::Component*> ticked_; ///< elements dispatched this slot
   bool finalized_ = false;
 };
 

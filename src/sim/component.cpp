@@ -13,7 +13,9 @@ Component::Component(Kernel& kernel, std::string name, Cadence cadence)
   kernel_->add(this);
 }
 
-Component::~Component() { kernel_->remove(this); }
+Component::~Component() {
+  if (kernel_ != nullptr) kernel_->remove(this); // null: the kernel died first
+}
 
 void Component::commit() {
   for (RegBase* r : regs_) r->commit_reg();

@@ -26,7 +26,12 @@ thread_local DispatchCtx tls_dispatch;
 
 } // namespace
 
-Kernel::~Kernel() { stop_workers(); }
+Kernel::~Kernel() {
+  stop_workers();
+  for (Component* c : components_) {
+    if (c != nullptr) c->kernel_ = nullptr; // outlives us: detach (see ~Component)
+  }
+}
 
 void Kernel::add(Component* c) {
   assert(!in_parallel_ && "components may not be constructed inside a parallel phase");
@@ -232,24 +237,6 @@ void Kernel::record_trace(const Component& c, Tracer& t, TraceEvent event, std::
     c.trace_owner_ = &t;
   }
   t.record(now_, c.trace_id_, event, arg0, arg1);
-}
-
-void Kernel::trace_as(const Component& as, TraceEvent event, std::uint64_t arg0,
-                      std::uint64_t arg1) {
-  Tracer* t = tracer_;
-  if (t == nullptr || !t->enabled()) return;
-  if (tls_dispatch.stage != nullptr) {
-    // Staged under the element's own registration index, not the key of
-    // the engine currently dispatching: the record merges exactly where
-    // the element's own trace() would have landed in a serial run.
-    tls_dispatch.stage->push_back({as.index_, &as, event, arg0, arg1});
-    return;
-  }
-  if (as.trace_owner_ != t) {
-    as.trace_id_ = t->intern(as.name_);
-    as.trace_owner_ = t;
-  }
-  t->record(now_, as.trace_id_, event, arg0, arg1);
 }
 
 void Kernel::set_stage_key(const Component& c) {

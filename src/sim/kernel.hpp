@@ -91,6 +91,9 @@ class Kernel {
 
   explicit Kernel(Scheduler scheduler = Scheduler::kStride)
       : scheduler_(scheduler) {}
+  /// Components still alive are detached, not destroyed: one may outlive
+  /// its kernel (instrumentation a soc::RunSpec::on_network hook owns) as
+  /// long as it is only destroyed afterwards, never run.
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -163,18 +166,11 @@ class Kernel {
 
   // --- Batched-dispatch engine services (hw::SlotEngine) ---------------------
   // A batched engine is one Component that ticks and commits a whole band
-  // of suspended elements itself. These three hooks keep its dispatch
-  // byte-identical to per-component dispatch: records it relays for an
-  // element carry the element's name and merge at the element's
-  // registration index, and the staged-path width threshold sees the
-  // band's true element count rather than "one component".
-
-  /// Record a trace as if `as` had emitted it from its own dispatch slot:
-  /// staged under as's registration index inside a staged phase, appended
-  /// directly otherwise. For engines that inline an element's tick and
-  /// must relay the records the element would have emitted.
-  void trace_as(const Component& as, TraceEvent event, std::uint64_t arg0 = 0,
-                std::uint64_t arg1 = 0);
+  // of suspended elements itself. These two hooks keep its dispatch
+  // byte-identical to per-component dispatch: records an element emits
+  // while the engine dispatches it merge at the element's registration
+  // index, and the staged-path width threshold sees the band's true
+  // element count rather than "one component".
 
   /// Re-key staged records to component `c` for the rest of the current
   /// dispatch (no-op outside a staged phase). For engines that call into

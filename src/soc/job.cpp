@@ -33,7 +33,6 @@ analysis::NetworkReport run_job(RunSpec spec, const std::string& trace_path,
 const char* const kRunFlagUsage =
     "  --scheduler S    kernel cycle loop: stride (default) | reference\n"
     "  --shards N       shard threads inside the simulation (>= 1)\n"
-    "  --soa            batched SoA slot dispatch (stride scheduler only)\n"
     "  --fault-seed N   seed for fault injection (with --fault-rate/plan)\n"
     "  --fault-rate R   per-word fault probability in [0,1] on every link\n"
     "  --fault-plan F   fault-plan file (see src/sim/fault.hpp)\n"
@@ -55,8 +54,6 @@ RunFlag parse_run_flag(sim::Args& args, RunSpec* spec) {
       ok = args.bad("stride|reference", s);
   } else if (args.is("--shards")) {
     ok = args.value(&spec->shards, "an integer >= 1", [](std::uint32_t n) { return n >= 1; });
-  } else if (args.is("--soa")) {
-    spec->soa = true;
   } else if (args.is("--fault-seed")) {
     ok = args.value(&spec->fault_plan.seed, "an integer");
   } else if (args.is("--fault-rate")) {

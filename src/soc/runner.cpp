@@ -208,9 +208,8 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
   opt.ni_channels = std::max(opt.ni_channels, channels);
   if (spec.watchdog_retries) opt.cfg_max_retries = *spec.watchdog_retries;
   opt.cfg_timeout_mult = spec.watchdog_timeout_mult;
+  opt.shards = spec.shards;
   hw::DaeliteNetwork net(kernel, mesh.topo, opt);
-  if (spec.shards > 1) net.assign_shards(spec.shards);
-  if (spec.soa) net.enable_soa();
   if (spec.on_network) spec.on_network(kernel, net);
 
   sim::Tracer* tr = (spec.tracer != nullptr && spec.tracer->enabled()) ? spec.tracer : nullptr;
@@ -709,12 +708,10 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
   opt.cfg_root = mesh.ni(sc.host.first, sc.host.second);
   if (spec.watchdog_retries) opt.cfg_max_retries = *spec.watchdog_retries;
   opt.cfg_timeout_mult = spec.watchdog_timeout_mult;
+  opt.shards = spec.shards;
+  // The network registers its slot engines before the on_network hook,
+  // injector and monitor, so their serial commits still run last.
   hw::DaeliteNetwork net(kernel, mesh.topo, opt);
-  if (spec.shards > 1) net.assign_shards(spec.shards);
-  // SoA after sharding (the engine bands follow the shard bands), before
-  // the on_network hook, injector and monitor — those must register after
-  // the engines so their serial commits still run last in the cycle.
-  if (spec.soa) net.enable_soa();
   if (spec.on_network) spec.on_network(kernel, net);
 
   // The injector is constructed after every network element so it commits

@@ -85,16 +85,12 @@ struct RunSpec {
   sim::Scheduler scheduler = sim::Scheduler::kStride;
   /// Shard count for single-run parallelism (stride scheduler only):
   /// > 1 partitions the mesh's routers and NIs into contiguous node bands
-  /// that tick/commit concurrently inside this one kernel
-  /// (DaeliteNetwork::assign_shards). Reports and traces are byte-identical
-  /// for every value — the shard count is deliberately NOT recorded in the
-  /// report, so CI can diff --shards 1 against --shards N outputs.
+  /// whose slot engines tick/commit concurrently inside this one kernel
+  /// (DaeliteNetwork::Options::shards). Reports and traces are
+  /// byte-identical for every value and under kReference — the shard
+  /// count is deliberately NOT recorded in the report, so CI can diff
+  /// --shards N against --scheduler reference outputs.
   std::uint32_t shards = 1;
-  /// Batched SoA slot dispatch (DaeliteNetwork::enable_soa, stride
-  /// scheduler only — silently ignored under kReference). Like `shards`,
-  /// byte-identical output and deliberately NOT recorded in the report, so
-  /// CI can diff --soa runs against component-path outputs.
-  bool soa = false;
   /// Invoked once the network exists, before configuration — attach VCD
   /// probes or extra instrumentation here. Objects the hook creates must
   /// outlive the run_scenario() call.
@@ -134,7 +130,7 @@ analysis::NetworkReport run_job(RunSpec spec, const std::string& trace_path,
 
 /// The command-line grammar of RunSpec, shared by daelite_sim and
 /// daelite_batch (usage text: kRunFlagUsage):
-///   --scheduler stride|reference   --shards N (>= 1)   --soa
+///   --scheduler stride|reference   --shards N (>= 1)
 ///   --fault-seed N   --fault-rate R (in [0,1])   --fault-plan FILE
 ///   --recover   --preempt   --compact
 ///   --watchdog-retries N   --watchdog-timeout-mult X (> 0)

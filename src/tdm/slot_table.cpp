@@ -6,58 +6,20 @@ namespace daelite::tdm {
 
 std::size_t RouterSlotTable::scan_used_entries() const {
   return static_cast<std::size_t>(std::count_if(
-      entries_, entries_ + num_outputs_ * num_slots_, [](PortIndex p) { return p != kUnusedPort; }));
-}
-
-void RouterSlotTable::copy_from(const RouterSlotTable& o) {
-  num_slots_ = o.num_slots_;
-  num_outputs_ = o.num_outputs_;
-  used_ = o.used_;
-  owned_entries_.assign(o.entries_, o.entries_ + o.num_outputs_ * o.num_slots_);
-  owned_masks_.assign(o.masks_, o.masks_ + o.num_slots_);
-  entries_ = owned_entries_.data();
-  masks_ = owned_masks_.data();
-}
-
-void RouterSlotTable::rebind(PortIndex* entries, std::uint8_t* masks) {
-  std::copy(entries_, entries_ + num_outputs_ * num_slots_, entries);
-  std::copy(masks_, masks_ + num_slots_, masks);
-  entries_ = entries;
-  masks_ = masks;
-  owned_entries_ = {};
-  owned_masks_ = {};
-}
-
-void NiSlotTable::copy_from(const NiSlotTable& o) {
-  num_slots_ = o.num_slots_;
-  owned_tx_.assign(o.tx_, o.tx_ + o.num_slots_);
-  owned_rx_.assign(o.rx_, o.rx_ + o.num_slots_);
-  tx_ = owned_tx_.data();
-  rx_ = owned_rx_.data();
-}
-
-void NiSlotTable::rebind(ChannelId* tx, ChannelId* rx) {
-  std::copy(tx_, tx_ + num_slots_, tx);
-  std::copy(rx_, rx_ + num_slots_, rx);
-  tx_ = tx;
-  rx_ = rx;
-  owned_tx_ = {};
-  owned_rx_ = {};
+      entries_.begin(), entries_.end(), [](PortIndex p) { return p != kUnusedPort; }));
 }
 
 void NiSlotTable::clear_channel(ChannelId ch) {
-  for (std::uint32_t s = 0; s < num_slots_; ++s) {
-    if (tx_[s] == ch) tx_[s] = kNoChannel;
-    if (rx_[s] == ch) rx_[s] = kNoChannel;
-  }
+  std::replace(tx_.begin(), tx_.end(), ch, kNoChannel);
+  std::replace(rx_.begin(), rx_.end(), ch, kNoChannel);
 }
 
 std::size_t NiSlotTable::tx_slot_count(ChannelId ch) const {
-  return static_cast<std::size_t>(std::count(tx_, tx_ + num_slots_, ch));
+  return static_cast<std::size_t>(std::count(tx_.begin(), tx_.end(), ch));
 }
 
 std::size_t NiSlotTable::rx_slot_count(ChannelId ch) const {
-  return static_cast<std::size_t>(std::count(rx_, rx_ + num_slots_, ch));
+  return static_cast<std::size_t>(std::count(rx_.begin(), rx_.end(), ch));
 }
 
 } // namespace daelite::tdm

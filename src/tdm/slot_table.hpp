@@ -7,13 +7,6 @@
 // how multicast works (paper Fig. 7). NIs hold a table governing both
 // departures (which channel may inject in a slot) and arrivals (which
 // channel queue an arriving flit belongs to) — paper Fig. 5.
-//
-// Storage can be *rebound* into an external structure-of-arrays pool
-// (hw::SlotEngine): the table keeps its public API, but entries live in
-// one flat allocation shared by every router in a dispatch band, so the
-// batched slot loop walks contiguous memory instead of chasing per-router
-// vectors. A freshly constructed table owns its storage; rebind() copies
-// the current contents into the pool and drops the owned backing.
 
 #include <cassert>
 #include <cstdint>
@@ -34,32 +27,16 @@ inline constexpr PortIndex kUnusedPort = 0xFF;
 ///  - used_: the number of (output, slot) entries in use, so
 ///    used_entries()/empty() are O(1) instead of an O(outputs*slots)
 ///    scan (they sit on config-apply and recovery paths);
-///  - masks_[slot]: bit o set iff entry (o, slot) is in use, letting a
-///    batched dispatcher skip a router's whole slot with one byte test.
+///  - masks_[slot]: bit o set iff entry (o, slot) is in use, letting the
+///    forwarding loop skip a router's whole slot with one byte test.
 class RouterSlotTable {
  public:
   RouterSlotTable() = default;
   RouterSlotTable(std::size_t num_outputs, std::uint32_t num_slots)
       : num_slots_(num_slots),
         num_outputs_(num_outputs),
-        owned_entries_(num_outputs * num_slots, kUnusedPort),
-        owned_masks_(num_slots, 0) {
-    entries_ = owned_entries_.data();
-    masks_ = owned_masks_.data();
-  }
-
-  // Copies (and moves) always land in self-owned storage: a pool binding
-  // belongs to the original table's engine, never to a copy.
-  RouterSlotTable(const RouterSlotTable& o) { copy_from(o); }
-  RouterSlotTable& operator=(const RouterSlotTable& o) {
-    if (this != &o) copy_from(o);
-    return *this;
-  }
-  RouterSlotTable(RouterSlotTable&& o) noexcept { copy_from(o); }
-  RouterSlotTable& operator=(RouterSlotTable&& o) noexcept {
-    if (this != &o) copy_from(o);
-    return *this;
-  }
+        entries_(num_outputs * num_slots, kUnusedPort),
+        masks_(num_slots, 0) {}
 
   std::uint32_t num_slots() const { return num_slots_; }
   std::size_t num_outputs() const { return num_outputs_; }
@@ -100,51 +77,25 @@ class RouterSlotTable {
   /// Bit o set iff output o forwards in `slot`. 0 == nothing scheduled.
   std::uint8_t out_mask(Slot slot) const { return masks_[slot]; }
 
-  /// Re-home the entries and per-slot masks into caller-provided storage
-  /// (entries: num_outputs()*num_slots() PortIndex; masks: num_slots()
-  /// bytes). Current contents are copied over; the table writes through
-  /// the new storage from then on.
-  void rebind(PortIndex* entries, std::uint8_t* masks);
-
  private:
-  void copy_from(const RouterSlotTable& o);
   std::size_t scan_used_entries() const;
 
   std::uint32_t num_slots_ = 0;
   std::size_t num_outputs_ = 0;
   std::size_t used_ = 0;
-  PortIndex* entries_ = nullptr;
-  std::uint8_t* masks_ = nullptr;
-  std::vector<PortIndex> owned_entries_;
-  std::vector<std::uint8_t> owned_masks_;
+  std::vector<PortIndex> entries_;    ///< [output * num_slots + slot]
+  std::vector<std::uint8_t> masks_;   ///< [slot]
 };
 
 /// Per-NI table: which channel may inject in each slot (tx) and which
-/// channel an arrival in each slot belongs to (rx). Like the router
-/// table, the tx/rx arrays can be rebound into an external pool.
+/// channel an arrival in each slot belongs to (rx).
 class NiSlotTable {
  public:
   NiSlotTable() = default;
   explicit NiSlotTable(std::uint32_t num_slots)
-      : num_slots_(num_slots),
-        owned_tx_(num_slots, kNoChannel),
-        owned_rx_(num_slots, kNoChannel) {
-    tx_ = owned_tx_.data();
-    rx_ = owned_rx_.data();
-  }
+      : tx_(num_slots, kNoChannel), rx_(num_slots, kNoChannel) {}
 
-  NiSlotTable(const NiSlotTable& o) { copy_from(o); }
-  NiSlotTable& operator=(const NiSlotTable& o) {
-    if (this != &o) copy_from(o);
-    return *this;
-  }
-  NiSlotTable(NiSlotTable&& o) noexcept { copy_from(o); }
-  NiSlotTable& operator=(NiSlotTable&& o) noexcept {
-    if (this != &o) copy_from(o);
-    return *this;
-  }
-
-  std::uint32_t num_slots() const { return num_slots_; }
+  std::uint32_t num_slots() const { return static_cast<std::uint32_t>(tx_.size()); }
 
   ChannelId tx_channel(Slot slot) const { return tx_[slot]; }
   ChannelId rx_channel(Slot slot) const { return rx_[slot]; }
@@ -159,18 +110,9 @@ class NiSlotTable {
   std::size_t tx_slot_count(ChannelId ch) const;
   std::size_t rx_slot_count(ChannelId ch) const;
 
-  /// Re-home the tx/rx arrays into caller-provided storage (num_slots()
-  /// ChannelId each). Current contents are copied over.
-  void rebind(ChannelId* tx, ChannelId* rx);
-
  private:
-  void copy_from(const NiSlotTable& o);
-
-  std::uint32_t num_slots_ = 0;
-  ChannelId* tx_ = nullptr;
-  ChannelId* rx_ = nullptr;
-  std::vector<ChannelId> owned_tx_;
-  std::vector<ChannelId> owned_rx_;
+  std::vector<ChannelId> tx_;
+  std::vector<ChannelId> rx_;
 };
 
 } // namespace daelite::tdm

@@ -82,15 +82,14 @@ std::vector<soc::RunFlag> offer(std::vector<std::string> argv, soc::RunSpec* spe
 
 TEST(RunFlags, ParseStraightIntoRunSpec) {
   soc::RunSpec spec;
-  const auto st = offer({"--scheduler", "reference", "--shards", "4", "--soa", "--fault-seed", "9",
+  const auto st = offer({"--scheduler", "reference", "--shards", "4", "--fault-seed", "9",
                          "--fault-rate", "2.5e-1", "--recover", "--preempt", "--compact",
                          "--watchdog-retries", "0", "--watchdog-timeout-mult", "1.5"},
                         &spec);
-  // Ten of the eleven flags; --fault-plan reads a file (see the reject test).
-  EXPECT_EQ(st, std::vector<soc::RunFlag>(10, soc::RunFlag::kTaken));
+  // Nine of the ten flags; --fault-plan reads a file (see the reject test).
+  EXPECT_EQ(st, std::vector<soc::RunFlag>(9, soc::RunFlag::kTaken));
   EXPECT_EQ(spec.scheduler, sim::Scheduler::kReference);
   EXPECT_EQ(spec.shards, 4u);
-  EXPECT_TRUE(spec.soa);
   EXPECT_EQ(spec.fault_plan.seed, 9u);
   EXPECT_DOUBLE_EQ(spec.fault_plan.rate, 0.25);
   EXPECT_TRUE(spec.recovery.enabled);
@@ -115,6 +114,9 @@ TEST(RunFlags, RejectsMalformedValuesAndLeavesOtherFlagsAlone) {
   }
   soc::RunSpec spec;
   EXPECT_EQ(offer({"--jobs"}, &spec).front(), soc::RunFlag::kNotMine);
+  // The slot engine is the only stride data path; there is no --soa to
+  // select it, so the tools reject it as an unknown flag.
+  EXPECT_EQ(offer({"--soa"}, &spec).front(), soc::RunFlag::kNotMine);
   EXPECT_EQ(offer({"scenario.txt"}, &spec).front(), soc::RunFlag::kNotMine);
 }
 

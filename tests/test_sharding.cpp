@@ -1,7 +1,7 @@
 // Sharded single-simulation parallelism: the shard boundary machinery.
 //
 // Sharding partitions a network's routers/NIs into per-thread bands inside
-// one Kernel (sim/kernel.hpp, DaeliteNetwork::assign_shards) and must be a
+// one Kernel (sim/kernel.hpp, DaeliteNetwork::Options::shards) and must be a
 // pure wall-clock optimization — cycle-exact, byte-identical state, stats
 // and traces at every shard count. These tests pin the boundary mechanics
 // that make that true:
@@ -50,8 +50,8 @@ struct TestNet {
     DaeliteNetwork::Options opt;
     opt.tdm = tdm::daelite_params(slots);
     opt.cfg_root = mesh.ni(0, 0);
+    opt.shards = shards;
     net = std::make_unique<DaeliteNetwork>(kernel, mesh.topo, opt);
-    if (shards > 1) net->assign_shards(shards);
     alloc = std::make_unique<alloc::SlotAllocator>(mesh.topo, opt.tdm);
   }
 

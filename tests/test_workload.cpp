@@ -210,10 +210,9 @@ TEST(DnnRun, ByteIdenticalReportsAcrossExecutionModes) {
   sharded.shards = 4;
   EXPECT_EQ(soc::run_scenario(sharded).to_json().dump(2), reference);
 
-  soc::RunSpec soa = base;
-  soa.shards = 2;
-  soa.soa = true;
-  EXPECT_EQ(soc::run_scenario(soa).to_json().dump(2), reference);
+  soc::RunSpec two_shards = base;
+  two_shards.shards = 2;
+  EXPECT_EQ(soc::run_scenario(two_shards).to_json().dump(2), reference);
 
   soc::RunSpec oracle = base;
   oracle.scheduler = sim::Scheduler::kReference;

@@ -15,12 +15,12 @@
 //   --list             print the expanded job list and exit
 //   --quiet            suppress per-job progress lines on stderr
 //
-// The RunSpec flags (--scheduler, --shards, --soa, the --fault-*,
+// The RunSpec flags (--scheduler, --shards, the --fault-*,
 // --recover/--preempt/--compact and --watchdog-* flags) are the grammar
 // daelite_sim shares — soc::parse_run_flag in src/soc/runner.hpp, flag
 // table in docs/ci.md — and apply to every job. --shards composes with
 // --jobs (N shard workers inside each concurrently running job); like
-// --soa it leaves the output byte-identical.
+// --scheduler it leaves the output byte-identical.
 //
 // The cross product of {scenarios + synthetic meshes} x {slots} x {seeds}
 // expands into independent jobs, each run by soc::run_job (the path

@@ -13,7 +13,7 @@
 // or input errors. --json writes the metrics document daelite_batch emits
 // per job, --trace a Chrome trace_event file (chrome://tracing or
 // Perfetto), --vcd waveforms, --per-connection the per-connection latency
-// quantile table. The RunSpec flags (--scheduler, --shards, --soa, the
+// quantile table. The RunSpec flags (--scheduler, --shards, the
 // --fault-*, --recover/--preempt/--compact and --watchdog-* flags) are
 // the grammar daelite_batch shares: soc::parse_run_flag in
 // src/soc/runner.hpp, with the flag table in docs/ci.md.
