@@ -121,6 +121,13 @@ void BM_ShortestPath8x8(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPath8x8);
 
+void BM_KShortest8x8(benchmark::State& state) {
+  const auto mesh = topo::make_mesh(8, 8);
+  topo::PathFinder f(mesh.topo);
+  for (auto _ : state) benchmark::DoNotOptimize(f.k_shortest(mesh.ni(0, 0), mesh.ni(7, 7), 8));
+}
+BENCHMARK(BM_KShortest8x8);
+
 void BM_AllocateRelease4x4(benchmark::State& state) {
   const auto mesh = topo::make_mesh(4, 4);
   alloc::SlotAllocator a(mesh.topo, tdm::daelite_params(16));
@@ -150,6 +157,23 @@ void BM_MulticastAllocate4x4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MulticastAllocate4x4);
+
+// Tree growth dominates: the trunk candidates are memoized after the first
+// call, and each extra destination searches from every tree router.
+void BM_MulticastAllocate8x8(benchmark::State& state) {
+  const auto mesh = topo::make_mesh(8, 8);
+  alloc::SlotAllocator a(mesh.topo, tdm::daelite_params(32));
+  alloc::ChannelSpec spec;
+  spec.src_ni = mesh.ni(0, 0);
+  spec.dst_nis = {mesh.ni(7, 7), mesh.ni(7, 0), mesh.ni(0, 7), mesh.ni(3, 4)};
+  spec.slots_required = 2;
+  for (auto _ : state) {
+    auto r = a.allocate(spec);
+    benchmark::DoNotOptimize(r);
+    a.release(*r);
+  }
+}
+BENCHMARK(BM_MulticastAllocate8x8);
 
 void BM_JointAllocate4x4(benchmark::State& state) {
   const auto mesh = topo::make_mesh(4, 4);

@@ -456,51 +456,48 @@ std::optional<RouteTree> SlotAllocator::allocate_unicast(const ChannelSpec& spec
   return std::nullopt;
 }
 
-std::optional<RouteTree> SlotAllocator::grow_tree(const topo::Path& trunk,
-                                                  const ChannelSpec& spec) const {
-  RouteTree tree = RouteTree::from_path(*topo_, trunk, {}, tdm::kNoChannel);
+bool SlotAllocator::grow_tree(RouteTree& tree, const topo::Path& trunk,
+                              const ChannelSpec& spec) const {
   tree.dst_nis = {trunk.dest(*topo_)};
 
   // Depth of every node currently on the tree.
   std::map<topo::NodeId, std::uint32_t> depth;
-  depth[tree.src_ni] = 0;
-  for (const RouteEdge& e : tree.edges) depth[topo_->link(e.link).dst] = e.depth + 1;
+  // Branch paths may not pass *through* other tree nodes (that would break
+  // the tree property), so links into tree nodes are blocked; NIs cannot
+  // forward, so no branch may leave one either.
+  std::vector<std::uint8_t> blocked(topo_->link_count(), 0);
+  const auto join = [&](topo::NodeId node, std::uint32_t d) {
+    depth[node] = d;
+    for (topo::LinkId l : topo_->node(node).in_links) blocked[l] = 1;
+    if (topo_->is_ni(node))
+      for (topo::LinkId l : topo_->node(node).out_links) blocked[l] = 1;
+  };
+  join(tree.src_ni, 0);
+  for (const RouteEdge& e : tree.edges) join(topo_->link(e.link).dst, e.depth + 1);
 
   for (std::size_t i = 1; i < spec.dst_nis.size(); ++i) {
     const topo::NodeId dst = spec.dst_nis[i];
-    if (depth.count(dst) != 0) return std::nullopt; // dst interior to tree: not allowed
+    if (depth.count(dst) != 0) return false; // dst interior to tree: not allowed
 
-    // Branch from the tree router that yields the shortest attachment.
-    // Branch paths may not pass *through* other tree nodes (that would
-    // break the tree property), so links into tree nodes are forbidden.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> base_cost(topo_->link_count(), 1.0);
-    for (const auto& [node, d] : depth) {
-      (void)d;
-      for (topo::LinkId l : topo_->node(node).in_links) base_cost[l] = kInf;
-      if (topo_->is_ni(node)) // NIs cannot forward: no branch may leave one
-        for (topo::LinkId l : topo_->node(node).out_links) base_cost[l] = kInf;
-    }
-
+    // Branch from the tree router that yields the shortest attachment
+    // (ties: lowest node id).
     topo::Path best;
     std::uint32_t best_depth = 0;
-    double best_cost = kInf;
     for (const auto& [node, d] : depth) {
       if (!topo_->is_router(node)) continue;
-      const topo::Path p = finder_.shortest_weighted(node, dst, base_cost);
+      topo::Path p = finder_.shortest(node, dst, blocked);
       if (p.empty()) continue;
-      const double cost = static_cast<double>(p.links.size());
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = p;
+      if (best.empty() || p.hop_count() < best.hop_count()) {
+        best = std::move(p);
         best_depth = d;
       }
     }
-    if (best.empty()) return std::nullopt;
+    if (best.empty()) return false;
 
     for (std::size_t j = 0; j < best.links.size(); ++j) {
-      tree.edges.push_back(RouteEdge{best.links[j], best_depth + static_cast<std::uint32_t>(j)});
-      depth[topo_->link(best.links[j]).dst] = best_depth + static_cast<std::uint32_t>(j) + 1;
+      const auto edge_depth = best_depth + static_cast<std::uint32_t>(j);
+      tree.edges.push_back(RouteEdge{best.links[j], edge_depth});
+      join(topo_->link(best.links[j]).dst, edge_depth + 1);
     }
     tree.dst_nis.push_back(dst);
   }
@@ -508,22 +505,27 @@ std::optional<RouteTree> SlotAllocator::grow_tree(const topo::Path& trunk,
   std::sort(tree.edges.begin(), tree.edges.end(), [](const RouteEdge& a, const RouteEdge& b) {
     return a.depth < b.depth || (a.depth == b.depth && a.link < b.link);
   });
-  return tree;
+  return true;
 }
 
 std::optional<RouteTree> SlotAllocator::allocate_multicast(const ChannelSpec& spec) {
   const auto& trunks = candidate_paths(spec.src_ni, spec.dst_nis[0]);
   for (const topo::Path& trunk : trunks) {
-    auto tree = grow_tree(trunk, spec);
-    if (!tree) continue;
-    const auto avail = free_inject_slots(*tree);
+    RouteTree tree = RouteTree::from_path(*topo_, trunk, {}, tdm::kNoChannel);
+    // Trunk prune: a grown tree keeps the trunk's edges at the same depths,
+    // so its free inject slots are a subset of the trunk's. A trunk short
+    // of slots cannot carry any tree — skip the fan-out search. The prune
+    // changes no decision.
+    if (free_inject_slots(tree).size() < spec.slots_required) continue;
+    if (!grow_tree(tree, trunk, spec)) continue;
+    const auto avail = free_inject_slots(tree);
     auto slots = choose_slots(avail, spec.slots_required);
     if (slots.size() < spec.slots_required) continue;
-    tree->inject_slots = std::move(slots);
-    std::sort(tree->inject_slots.begin(), tree->inject_slots.end());
-    tree->channel = next_channel_id();
+    tree.inject_slots = std::move(slots);
+    std::sort(tree.inject_slots.begin(), tree.inject_slots.end());
+    tree.channel = next_channel_id();
     // Keep destination order as specified (grow_tree appends in order).
-    commit(*tree);
+    commit(tree);
     ++live_channels_;
     return tree;
   }

@@ -225,10 +225,10 @@ class SlotAllocator {
   std::optional<RouteTree> allocate_unicast(const ChannelSpec& spec);
   std::optional<RouteTree> allocate_multicast(const ChannelSpec& spec);
 
-  /// Grow a multicast tree over the given trunk path, attaching remaining
-  /// destinations by shortest non-tree branches. Returns nullopt if some
-  /// destination cannot be attached.
-  std::optional<RouteTree> grow_tree(const topo::Path& trunk, const ChannelSpec& spec) const;
+  /// Grow `tree` (the route of `trunk`) into a multicast tree, attaching
+  /// the remaining destinations by shortest non-tree branches. Returns
+  /// false if some destination cannot be attached.
+  bool grow_tree(RouteTree& tree, const topo::Path& trunk, const ChannelSpec& spec) const;
 
   const topo::Topology* topo_;
   tdm::TdmParams params_;

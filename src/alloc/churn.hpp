@@ -9,8 +9,9 @@
 //    length, worst-case latency, schedule utilization) before and after
 //    the route search;
 //  * the allocator's incremental mode (AllocatorOptions::incremental)
-//    reuses prior Dijkstra state and per-link free-slot bitmasks so the
-//    per-request cost no longer grows with schedule occupancy;
+//    memoizes k-shortest candidate paths per (src, dst) pair and keeps
+//    per-link free-slot bitmasks, so the per-request cost no longer grows
+//    with schedule occupancy;
 //  * fragmentation gauges sample how much per-link capacity has become
 //    unusable because no injection slot lines up across a whole path —
 //    the signal a compaction pass would act on.

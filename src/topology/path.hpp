@@ -7,6 +7,7 @@
 // turns them into set-up packets.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,32 +33,51 @@ struct Path {
   bool operator==(const Path&) const = default;
 };
 
+/// Hop-count path search over a fixed Topology.
+///
+/// The finder snapshots the topology's adjacency when it is built, so the
+/// topology must not grow afterwards (asserted in Debug builds). Searches
+/// reuse per-finder scratch buffers: a PathFinder is used by one thread at
+/// a time (each allocator owns its own).
 class PathFinder {
  public:
-  explicit PathFinder(const Topology& topo) : topo_(&topo) {}
+  explicit PathFinder(const Topology& topo);
 
-  /// Minimum-hop path via BFS. Empty path if unreachable or from == to.
-  Path shortest(NodeId from, NodeId to) const;
-
-  /// Dijkstra with a per-link cost vector (size link_count). Costs must be
-  /// non-negative; an infinite cost removes the link.
-  Path shortest_weighted(NodeId from, NodeId to, std::span<const double> link_cost) const;
+  /// Minimum-hop path from -> to that uses no link l with blocked[l] != 0
+  /// (`blocked` is empty or has link_count entries) and no excluded link.
+  /// Empty path if unreachable or from == to. Level-synchronous BFS that
+  /// expands each level in ascending node id and keeps the first link to
+  /// discover a node: among equal-length paths it returns the one a
+  /// (dist, node)-ordered Dijkstra with first-strict-improvement
+  /// relaxation returns.
+  Path shortest(NodeId from, NodeId to, std::span<const std::uint8_t> blocked = {}) const;
 
   /// Yen's algorithm: up to k loopless shortest paths in nondecreasing hop
   /// order. Used by the multipath allocator ([29] in the paper).
   std::vector<Path> k_shortest(NodeId from, NodeId to, std::size_t k) const;
 
   /// Persistently remove a link from every search (the allocator's link
-  /// quarantine). Enforced centrally in shortest_weighted — which shortest
-  /// and k_shortest build on — so no caller-supplied cost vector can
-  /// resurrect an excluded link.
+  /// quarantine). Enforced inside shortest — which k_shortest builds on —
+  /// so no caller-supplied mask can resurrect an excluded link.
   void exclude_link(LinkId l);
-  void clear_exclusions() { excluded_.assign(excluded_.size(), false); }
-  bool is_excluded(LinkId l) const { return l < excluded_.size() && excluded_[l]; }
+  void clear_exclusions() { excluded_.assign(excluded_.size(), 0); }
 
  private:
+  struct Arc {
+    LinkId link;
+    NodeId dst;
+  };
+
   const Topology* topo_;
-  std::vector<bool> excluded_; ///< empty until the first exclusion
+  std::vector<std::uint32_t> off_; ///< node u's out-arcs are arcs_[off_[u], off_[u + 1])
+  std::vector<Arc> arcs_;          ///< out_links order, so ties break as the ports do
+  std::vector<std::uint8_t> excluded_;
+
+  // Search scratch, reused across calls (node bitsets, one bit per node).
+  mutable std::vector<std::uint64_t> seen_, frontier_, next_;
+  mutable std::vector<LinkId> via_;            ///< discovering link, valid where seen_
+  mutable std::vector<std::uint8_t> yen_mask_; ///< all zero between k_shortest calls
+  mutable std::vector<LinkId> yen_set_;        ///< entries of yen_mask_ set for one spur
 };
 
 } // namespace daelite::topo

@@ -1,9 +1,16 @@
 // Unit tests for the topology substrate: graph construction, generators,
-// path search (BFS / Dijkstra / Yen), config spanning tree.
+// path search (ordered BFS / Yen, checked against a heap-Dijkstra
+// reference), config spanning tree.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <random>
 #include <set>
 
 #include "topology/generators.hpp"
@@ -117,8 +124,8 @@ TEST(Path, ShortestHopCountOnMesh) {
   EXPECT_EQ(f.shortest(m.ni(2, 2), m.ni(2, 2)).hop_count(), 0u); // self
 }
 
-TEST(Path, WeightedAvoidsExpensiveLinks) {
-  // a -> b -> d and a -> c -> d; make the b route expensive.
+TEST(Path, BlockedLinkForcesAlternateRoute) {
+  // a -> b -> d and a -> c -> d; block a -> b.
   Topology t;
   const NodeId a = t.add_router("a"), b = t.add_router("b"), c = t.add_router("c"),
                d = t.add_router("d");
@@ -126,24 +133,167 @@ TEST(Path, WeightedAvoidsExpensiveLinks) {
   const LinkId bd = t.connect(b, d);
   const LinkId ac = t.connect(a, c);
   const LinkId cd = t.connect(c, d);
-  std::vector<double> cost(t.link_count(), 1.0);
-  cost[ab] = 10.0;
   PathFinder f(t);
-  const Path p = f.shortest_weighted(a, d, cost);
-  ASSERT_EQ(p.hop_count(), 2u);
-  EXPECT_EQ(p.links[0], ac);
-  EXPECT_EQ(p.links[1], cd);
-  (void)bd;
+  // Unblocked, the tie goes to the lower-id middle node b.
+  EXPECT_EQ(f.shortest(a, d).links, (std::vector<LinkId>{ab, bd}));
+  std::vector<std::uint8_t> blocked(t.link_count(), 0);
+  blocked[ab] = 1;
+  EXPECT_EQ(f.shortest(a, d, blocked).links, (std::vector<LinkId>{ac, cd}));
+  // The mask is per call: the next unblocked search sees a -> b again.
+  EXPECT_EQ(f.shortest(a, d).links, (std::vector<LinkId>{ab, bd}));
 }
 
 TEST(Path, InfiniteCostRemovesLink) {
+  // A blocked link is an infinite-cost link: the only route is gone.
   Topology t;
   const NodeId a = t.add_router("a"), b = t.add_router("b");
   const LinkId ab = t.connect(a, b);
-  std::vector<double> cost(t.link_count(), 1.0);
-  cost[ab] = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> blocked(t.link_count(), 0);
+  blocked[ab] = 1;
   PathFinder f(t);
-  EXPECT_TRUE(f.shortest_weighted(a, b, cost).empty());
+  EXPECT_TRUE(f.shortest(a, b, blocked).empty());
+  f.exclude_link(ab);
+  EXPECT_TRUE(f.shortest(a, b).empty());
+  f.clear_exclusions();
+  EXPECT_EQ(f.shortest(a, b).hop_count(), 1u);
+}
+
+// --- Search oracle -----------------------------------------------------------
+//
+// The binary-heap Dijkstra the BFS replaced, kept as the reference for tie
+// breaking: pops (dist, node) in ascending order and keeps the first strict
+// improvement. `cost` is 1 or infinity per link (infinity = blocked or
+// excluded). RefKShortest is Yen's algorithm over it, as it was.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+Path RefShortest(const Topology& t, NodeId from, NodeId to, const std::vector<double>& cost) {
+  std::vector<double> dist(t.node_count(), kInf);
+  std::vector<LinkId> via(t.node_count(), kInvalidLink);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  dist[from] = 0.0;
+  pq.emplace(0.0, from);
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[u]) continue;
+    if (u == to) break;
+    for (LinkId l : t.node(u).out_links) {
+      if (std::isinf(cost[l])) continue;
+      const NodeId v = t.link(l).dst;
+      if (dist[u] + cost[l] < dist[v]) {
+        dist[v] = dist[u] + cost[l];
+        via[v] = l;
+        pq.emplace(dist[v], v);
+      }
+    }
+  }
+  Path p;
+  if (from == to || std::isinf(dist[to])) return p;
+  for (NodeId at = to; at != from; at = t.link(via[at]).src) p.links.push_back(via[at]);
+  std::reverse(p.links.begin(), p.links.end());
+  return p;
+}
+
+std::vector<Path> RefKShortest(const Topology& t, NodeId from, NodeId to, std::size_t k,
+                               const std::vector<double>& base) {
+  std::vector<Path> result;
+  Path first = RefShortest(t, from, to, base);
+  if (first.empty()) return result;
+  result.push_back(first);
+  auto cmp = [](const Path& a, const Path& b) {
+    if (a.links.size() != b.links.size()) return a.links.size() < b.links.size();
+    return a.links < b.links;
+  };
+  std::set<Path, decltype(cmp)> candidates(cmp);
+  while (result.size() < k) {
+    const Path& prev = result.back();
+    const std::vector<NodeId> prev_nodes = prev.nodes(t);
+    for (std::size_t i = 0; i < prev.links.size(); ++i) {
+      std::vector<double> c = base;
+      for (const Path& p : result)
+        if (p.links.size() > i &&
+            std::equal(p.links.begin(), p.links.begin() + static_cast<std::ptrdiff_t>(i), prev.links.begin()))
+          c[p.links[i]] = kInf;
+      for (std::size_t j = 0; j < i; ++j) {
+        for (LinkId l : t.node(prev_nodes[j]).out_links) c[l] = kInf;
+        for (LinkId l : t.node(prev_nodes[j]).in_links) c[l] = kInf;
+      }
+      const Path spur = RefShortest(t, prev_nodes[i], to, c);
+      if (spur.empty() && prev_nodes[i] != to) continue;
+      Path total;
+      total.links.assign(prev.links.begin(), prev.links.begin() + static_cast<std::ptrdiff_t>(i));
+      total.links.insert(total.links.end(), spur.links.begin(), spur.links.end());
+      if (total.links.empty()) continue;
+      if (std::find(result.begin(), result.end(), total) == result.end()) candidates.insert(std::move(total));
+    }
+    if (candidates.empty()) break;
+    result.push_back(*candidates.begin());
+    candidates.erase(candidates.begin());
+  }
+  return result;
+}
+
+// Random blocked masks and quarantine sets: shortest and k_shortest must
+// return exactly the reference's paths, ties included.
+void ExpectMatchesReference(const Mesh& m, std::uint64_t seed) {
+  const Topology& t = m.topo;
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  PathFinder f(t);
+  for (int round = 0; round < 12; ++round) {
+    // Quarantine: none in the first round, then 0..3 random links.
+    f.clear_exclusions();
+    std::vector<double> base(t.link_count(), 1.0);
+    const std::size_t excluded = round == 0 ? 0 : pick(4);
+    for (std::size_t e = 0; e < excluded; ++e) {
+      const auto l = static_cast<LinkId>(pick(t.link_count()));
+      f.exclude_link(l);
+      base[l] = kInf;
+    }
+    for (int q = 0; q < 12; ++q) {
+      const NodeId from = static_cast<NodeId>(pick(t.node_count()));
+      const NodeId to = static_cast<NodeId>(pick(t.node_count()));
+      // Blocked mask with a random density of 0..30%.
+      const std::size_t density = pick(31);
+      std::vector<std::uint8_t> blocked(t.link_count(), 0);
+      std::vector<double> cost = base;
+      for (LinkId l = 0; l < t.link_count(); ++l) {
+        if (pick(100) >= density) continue;
+        blocked[l] = 1;
+        cost[l] = kInf;
+      }
+      EXPECT_EQ(f.shortest(from, to, blocked), RefShortest(t, from, to, cost))
+          << "seed " << seed << " round " << round << " " << from << "->" << to;
+      EXPECT_EQ(f.shortest(from, to), RefShortest(t, from, to, base));
+    }
+    // Yen over NI pairs, as the allocator asks.
+    const std::vector<NodeId> nis = m.all_nis();
+    for (int q = 0; q < 3; ++q) {
+      const NodeId from = nis[pick(nis.size())];
+      const NodeId to = nis[pick(nis.size())];
+      EXPECT_EQ(f.k_shortest(from, to, 8), RefKShortest(t, from, to, 8, base))
+          << "seed " << seed << " round " << round << " " << from << "->" << to;
+    }
+  }
+}
+
+TEST(PathOracle, ShortestAndKShortestMatchHeapDijkstraOn8x8Mesh) {
+  const Mesh m = make_mesh(8, 8);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) ExpectMatchesReference(m, seed);
+}
+
+TEST(PathOracle, ShortestAndKShortestMatchHeapDijkstraOn4x4Torus) {
+  // Wrap-around links give many equal-length routes: the tie-break case.
+  const Mesh m = make_mesh(4, 4, 1, /*wrap=*/true);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) ExpectMatchesReference(m, seed);
+}
+
+TEST(PathOracle, ShortestAndKShortestMatchHeapDijkstraOnRing) {
+  // Even length: the router opposite a source is reached both ways round.
+  const Mesh m = make_ring(8, 2);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) ExpectMatchesReference(m, seed);
 }
 
 TEST(Path, KShortestAreDistinctLooplessAndOrdered) {
