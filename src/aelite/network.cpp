@@ -5,7 +5,7 @@
 namespace daelite::aelite {
 
 AeliteNetwork::AeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Options options)
-    : kernel_(&k), topo_(&topo), options_(options) {
+    : topo_(&topo), options_(options), routers_(topo), nis_(topo), queues_(topo) {
   assert(options_.tdm.valid());
 
   Ni::Params ni_params;
@@ -16,23 +16,22 @@ AeliteNetwork::AeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Options
   for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
     const topo::Node& node = topo.node(n);
     if (node.kind == topo::NodeKind::kRouter) {
-      routers_[n] = std::make_unique<Router>(k, "ae." + node.name, node.in_links.size(),
-                                             node.out_links.size(), options_.tdm);
+      routers_.put(n, std::make_unique<Router>(k, "ae." + node.name, node.in_links.size(),
+                                               node.out_links.size(), options_.tdm));
     } else {
-      nis_[n] = std::make_unique<Ni>(k, "ae." + node.name, ni_params);
-      tx_queue_used_[n].assign(options_.ni_channels, false);
-      rx_queue_used_[n].assign(options_.ni_channels, false);
+      nis_.put(n, std::make_unique<Ni>(k, "ae." + node.name, ni_params));
+      queues_.put(n, std::make_unique<topo::QueuePool>(options_.ni_channels));
     }
   }
   for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
     const topo::Link& link = topo.link(l);
     const sim::Reg<AeliteFlit>* src_reg =
-        topo.is_router(link.src) ? &routers_.at(link.src)->output_reg(link.src_port)
-                                 : &nis_.at(link.src)->output_reg();
+        topo.is_router(link.src) ? &routers_.at(link.src).output_reg(link.src_port)
+                                 : &nis_.at(link.src).output_reg();
     if (topo.is_router(link.dst)) {
-      routers_.at(link.dst)->connect_input(link.dst_port, src_reg);
+      routers_.at(link.dst).connect_input(link.dst_port, src_reg);
     } else {
-      nis_.at(link.dst)->connect_input(src_reg);
+      nis_.at(link.dst).connect_input(src_reg);
     }
   }
 }
@@ -63,7 +62,7 @@ PathCode AeliteNetwork::path_code(const alloc::RouteTree& route) const {
 
 void AeliteNetwork::program_channel(const alloc::RouteTree& route, std::uint8_t tx_q,
                                     std::uint8_t rx_q) {
-  Ni& src = *nis_.at(route.src_ni);
+  Ni& src = nis_.at(route.src_ni);
   src.set_path(tx_q, path_code(route), rx_q);
   src.set_debug_channel(tx_q, route.channel);
   for (tdm::Slot q : route.inject_slots) src.table().set_tx(q, tx_q);
@@ -71,22 +70,9 @@ void AeliteNetwork::program_channel(const alloc::RouteTree& route, std::uint8_t 
 }
 
 void AeliteNetwork::clear_channel(const alloc::RouteTree& route, std::uint8_t tx_q) {
-  Ni& src = *nis_.at(route.src_ni);
+  Ni& src = nis_.at(route.src_ni);
   for (tdm::Slot q : route.inject_slots) src.table().clear_tx(q);
   src.set_enabled(tx_q, false);
-}
-
-std::uint8_t AeliteNetwork::alloc_queue(std::map<topo::NodeId, std::vector<bool>>& pool,
-                                        topo::NodeId ni) {
-  auto& used = pool.at(ni);
-  for (std::size_t q = 0; q < used.size(); ++q) {
-    if (!used[q]) {
-      used[q] = true;
-      return static_cast<std::uint8_t>(q);
-    }
-  }
-  assert(false && "aelite NI out of queues");
-  return 0;
 }
 
 AeliteConnectionHandle AeliteNetwork::open_connection(const alloc::AllocatedConnection& conn) {
@@ -95,10 +81,10 @@ AeliteConnectionHandle AeliteNetwork::open_connection(const alloc::AllocatedConn
   h.conn = conn;
   const topo::NodeId src = conn.request.src_ni;
   const topo::NodeId dst = conn.request.dst_nis[0];
-  h.src_tx_q = alloc_queue(tx_queue_used_, src);
-  h.src_rx_q = alloc_queue(rx_queue_used_, src);
-  h.dst_tx_q = alloc_queue(tx_queue_used_, dst);
-  h.dst_rx_q = alloc_queue(rx_queue_used_, dst);
+  h.src_tx_q = topo::QueuePool::take(queues_.at(src).tx);
+  h.src_rx_q = topo::QueuePool::take(queues_.at(src).rx);
+  h.dst_tx_q = topo::QueuePool::take(queues_.at(dst).tx);
+  h.dst_rx_q = topo::QueuePool::take(queues_.at(dst).rx);
 
   program_channel(conn.request, h.src_tx_q, h.dst_rx_q);
   program_channel(conn.response, h.dst_tx_q, h.src_rx_q);
@@ -112,28 +98,29 @@ AeliteConnectionHandle AeliteNetwork::open_connection(const alloc::AllocatedConn
 
 std::uint64_t AeliteNetwork::total_collisions() const {
   std::uint64_t n = 0;
-  for (const auto& [id, r] : routers_) n += r->stats().collisions + r->stats().orphan_flits;
+  routers_.for_each([&](const Router& r) { n += r.stats().collisions + r.stats().orphan_flits; });
   return n;
 }
 
 std::uint64_t AeliteNetwork::total_rx_overflow() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_) n += ni->stats().rx_overflow;
+  nis_.for_each([&](const Ni& ni) { n += ni.stats().rx_overflow; });
   return n;
 }
 
 std::uint64_t AeliteNetwork::total_header_words() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_)
-    for (std::size_t q = 0; q < options_.ni_channels; ++q)
-      n += ni->tx_stats(q).header_words_sent;
+  nis_.for_each([&](const Ni& ni) {
+    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni.tx_stats(q).header_words_sent;
+  });
   return n;
 }
 
 std::uint64_t AeliteNetwork::total_payload_words() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_)
-    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni->tx_stats(q).words_sent;
+  nis_.for_each([&](const Ni& ni) {
+    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni.tx_stats(q).words_sent;
+  });
   return n;
 }
 
@@ -145,23 +132,18 @@ struct AeliteFlitFaultPolicy {
   static constexpr std::uint32_t kBits =
       32 * static_cast<std::uint32_t>(AeliteFlit::kWordsPerSlot);
   static bool present(const AeliteFlit& f) { return f.valid; }
-  static void flip(AeliteFlit& f, std::uint32_t bit) {
+  template <typename Op>
+  static void at_bit(AeliteFlit& f, std::uint32_t bit, Op op) {
     const std::uint32_t b = bit % 32;
     const std::uint32_t w = (bit / 32) % AeliteFlit::kWordsPerSlot;
-    if (f.payload_count != 0) {
-      f.payload[w % f.payload_count] ^= 1u << b;
-      return;
-    }
-    f.credit = static_cast<std::uint8_t>(f.credit ^ (1u << (b % 6)));
+    if (f.payload_count != 0) return op(f.payload[w % f.payload_count], 1u << b);
+    op(f.credit, 1u << (b % 6));
+  }
+  static void flip(AeliteFlit& f, std::uint32_t bit) {
+    at_bit(f, bit, [](auto& v, std::uint32_t m) { v ^= m; });
   }
   static void force_one(AeliteFlit& f, std::uint32_t bit) {
-    const std::uint32_t b = bit % 32;
-    const std::uint32_t w = (bit / 32) % AeliteFlit::kWordsPerSlot;
-    if (f.payload_count != 0) {
-      f.payload[w % f.payload_count] |= 1u << b;
-      return;
-    }
-    f.credit = static_cast<std::uint8_t>(f.credit | (1u << (b % 6)));
+    at_bit(f, bit, [](auto& v, std::uint32_t m) { v |= m; });
   }
 };
 
@@ -173,8 +155,8 @@ void AeliteNetwork::attach_fault_lines(sim::FaultInjector& injector) {
   for (topo::LinkId l = 0; l < topo_->link_count(); ++l) {
     const topo::Link& link = topo_->link(l);
     sim::Reg<AeliteFlit>& reg = topo_->is_router(link.src)
-                                    ? routers_.at(link.src)->output_reg(link.src_port)
-                                    : nis_.at(link.src)->output_reg();
+                                    ? routers_.at(link.src).output_reg(link.src_port)
+                                    : nis_.at(link.src).output_reg();
     injector.watch<AeliteFlitFaultPolicy>(sim::FaultClass::kAelite, reg, stride, 0);
   }
 }

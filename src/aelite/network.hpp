@@ -8,7 +8,6 @@
 // the paper compares configuration cost in cycles, not config-bit
 // encodings, for aelite.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
 #include "topology/graph.hpp"
+#include "topology/node_store.hpp"
 
 namespace daelite::aelite {
 
@@ -44,8 +44,8 @@ class AeliteNetwork {
 
   AeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Options options);
 
-  Router& router(topo::NodeId id) { return *routers_.at(id); }
-  Ni& ni(topo::NodeId id) { return *nis_.at(id); }
+  Router& router(topo::NodeId id) { return routers_.at(id); }
+  Ni& ni(topo::NodeId id) { return nis_.at(id); }
   const topo::Topology& topology() const { return *topo_; }
   const Options& options() const { return options_; }
 
@@ -79,15 +79,11 @@ class AeliteNetwork {
   void attach_fault_lines(sim::FaultInjector& injector);
 
  private:
-  std::uint8_t alloc_queue(std::map<topo::NodeId, std::vector<bool>>& pool, topo::NodeId ni);
-
-  sim::Kernel* kernel_;
   const topo::Topology* topo_;
   Options options_;
-  std::map<topo::NodeId, std::unique_ptr<Router>> routers_;
-  std::map<topo::NodeId, std::unique_ptr<Ni>> nis_;
-  std::map<topo::NodeId, std::vector<bool>> tx_queue_used_;
-  std::map<topo::NodeId, std::vector<bool>> rx_queue_used_;
+  topo::NodeStore<Router> routers_;
+  topo::NodeStore<Ni> nis_;
+  topo::NodeStore<topo::QueuePool> queues_; ///< at NI ids, like nis_
 };
 
 } // namespace daelite::aelite

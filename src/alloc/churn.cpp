@@ -151,9 +151,7 @@ ChurnService::Result ChurnService::preempt_and_retry(const ConnectionSpec& spec,
   const bool multicast = spec.dst_nis.size() > 1;
   if (multicast) return r; // plan_preemption is unicast-only
   const auto preemptable = [&](tdm::ChannelId ch) {
-    const auto it = channel_owner_.find(ch);
-    if (it == channel_owner_.end()) return false;
-    return conns_.at(it->second).spec.service_class == ServiceClass::kBestEffort;
+    return ch < channel_owner_.size() && channel_owner_[ch].best_effort;
   };
   // Two rounds: the request channel may need one pass, then the response
   // channel another (each retry re-diagnoses which one still fails).
@@ -173,7 +171,7 @@ ChurnService::Result ChurnService::preempt_and_retry(const ConnectionSpec& spec,
     // channels of one connection may both be condemned).
     std::vector<std::uint64_t> victims;
     for (tdm::ChannelId ch : plan->victims) {
-      const std::uint64_t id = channel_owner_.at(ch);
+      const std::uint64_t id = channel_owner_[ch].id;
       const auto it = std::lower_bound(victims.begin(), victims.end(), id);
       if (it == victims.end() || *it != id) victims.insert(it, id);
     }
@@ -199,15 +197,18 @@ void ChurnService::insert_live(std::uint64_t id, AllocatedConnection conn) {
 }
 
 void ChurnService::own_channels(std::uint64_t id, const AllocatedConnection& c) {
-  channel_owner_[c.request.channel] = id;
-  if (c.has_response) channel_owner_[c.response.channel] = id;
+  const tdm::ChannelId top = std::max(c.request.channel, c.has_response ? c.response.channel : 0);
+  if (top >= channel_owner_.size()) channel_owner_.resize(top + 1);
+  const ChannelOwner owner{id, c.spec.service_class == ServiceClass::kBestEffort};
+  channel_owner_[c.request.channel] = owner;
+  if (c.has_response) channel_owner_[c.response.channel] = owner;
 }
 
 void ChurnService::release_channels(const AllocatedConnection& c) {
-  channel_owner_.erase(c.request.channel);
+  channel_owner_[c.request.channel] = {};
   alloc_->release(c.request);
   if (c.has_response) {
-    channel_owner_.erase(c.response.channel);
+    channel_owner_[c.response.channel] = {};
     alloc_->release(c.response);
   }
 }

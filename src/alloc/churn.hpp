@@ -238,8 +238,13 @@ class ChurnService {
   ConnMap conns_;
   std::unordered_map<std::uint64_t, std::size_t> live_index_; ///< id -> slot in live_order_
   std::vector<std::uint64_t> live_order_;
-  /// ChannelId -> owning service id, for preemption victim lookup.
-  std::unordered_map<tdm::ChannelId, std::uint64_t> channel_owner_;
+  /// By ChannelId (dense: the allocator recycles ids): the owning service
+  /// id and the best-effort bit the preemption planner asks per slot.
+  struct ChannelOwner {
+    std::uint64_t id = 0;
+    bool best_effort = false;
+  };
+  std::vector<ChannelOwner> channel_owner_;
   std::array<std::uint64_t, kServiceClassCount> live_by_class_{};
   std::vector<std::uint64_t> last_preempted_;
 };

@@ -6,7 +6,7 @@
 namespace daelite::hw {
 
 DaeliteNetwork::DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Options options)
-    : kernel_(&k), topo_(&topo), options_(options) {
+    : kernel_(&k), topo_(&topo), options_(options), routers_(topo), nis_(topo), queues_(topo) {
   assert(options_.tdm.valid());
   cfg_ids_ = assign_cfg_ids(topo);
   cfg_tree_ = topo::build_config_tree(topo, options_.cfg_root);
@@ -21,27 +21,24 @@ DaeliteNetwork::DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Optio
   for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
     const topo::Node& node = topo.node(n);
     if (node.kind == topo::NodeKind::kRouter) {
-      routers_[n] = std::make_unique<Router>(k, node.name, cfg_ids_.at(n), node.in_links.size(),
-                                             node.out_links.size(), options_.tdm);
+      routers_.put(n, std::make_unique<Router>(k, node.name, cfg_ids_.at(n), node.in_links.size(),
+                                               node.out_links.size(), options_.tdm));
     } else {
       assert(node.in_links.size() == 1 && node.out_links.size() == 1 &&
              "an NI attaches to exactly one router");
-      nis_[n] = std::make_unique<Ni>(k, node.name, cfg_ids_.at(n), ni_params);
-      tx_queue_used_[n].assign(options_.ni_channels, false);
-      rx_queue_used_[n].assign(options_.ni_channels, false);
+      nis_.put(n, std::make_unique<Ni>(k, node.name, cfg_ids_.at(n), ni_params));
+      queues_.put(n, std::make_unique<topo::QueuePool>(options_.ni_channels));
     }
   }
 
   // Wire the data links.
   for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
     const topo::Link& link = topo.link(l);
-    const sim::Reg<Flit>* src_reg =
-        topo.is_router(link.src) ? &routers_.at(link.src)->output_reg(link.src_port)
-                                 : &nis_.at(link.src)->output_reg();
+    const sim::Reg<Flit>* src_reg = &link_reg(l);
     if (topo.is_router(link.dst)) {
-      routers_.at(link.dst)->connect_input(link.dst_port, src_reg);
+      routers_.at(link.dst).connect_input(link.dst_port, src_reg);
     } else {
-      nis_.at(link.dst)->connect_input(src_reg);
+      nis_.at(link.dst).connect_input(src_reg);
     }
   }
 
@@ -62,9 +59,6 @@ DaeliteNetwork::DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Optio
   }
   config_module_ = std::make_unique<ConfigModule>(k, "cfg_host", cfg_params);
 
-  auto agent_of = [&](topo::NodeId n) -> ConfigAgent& {
-    return topo.is_router(n) ? routers_.at(n)->config_agent() : nis_.at(n)->config_agent();
-  };
   for (topo::NodeId n : cfg_tree_.bfs_order) {
     if (n == cfg_tree_.root) {
       agent_of(n).connect_parent(&config_module_->fwd_out());
@@ -99,9 +93,9 @@ DaeliteNetwork::DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Optio
     auto engine = std::make_unique<SlotEngine>(k, "slot_engine" + std::to_string(b), options_.tdm);
     for (auto id = static_cast<topo::NodeId>(lo); id < hi; ++id) {
       if (topo.is_router(id)) {
-        engine->add_router(*routers_.at(id));
+        engine->add_router(routers_.at(id));
       } else {
-        engine->add_ni(*nis_.at(id));
+        engine->add_ni(nis_.at(id));
       }
     }
     engine->finalize(b);
@@ -109,37 +103,14 @@ DaeliteNetwork::DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Optio
   }
 }
 
-// --- Queue management ----------------------------------------------------------
-
-std::uint8_t DaeliteNetwork::alloc_tx_queue(topo::NodeId ni) {
-  auto& used = tx_queue_used_.at(ni);
-  for (std::size_t q = 0; q < used.size(); ++q) {
-    if (!used[q]) {
-      used[q] = true;
-      return static_cast<std::uint8_t>(q);
-    }
-  }
-  assert(false && "NI out of tx queues");
-  return 0;
+sim::Reg<Flit>& DaeliteNetwork::link_reg(topo::LinkId l) {
+  const topo::Link& link = topo_->link(l);
+  return topo_->is_router(link.src) ? routers_.at(link.src).output_reg(link.src_port)
+                                    : nis_.at(link.src).output_reg();
 }
 
-std::uint8_t DaeliteNetwork::alloc_rx_queue(topo::NodeId ni) {
-  auto& used = rx_queue_used_.at(ni);
-  for (std::size_t q = 0; q < used.size(); ++q) {
-    if (!used[q]) {
-      used[q] = true;
-      return static_cast<std::uint8_t>(q);
-    }
-  }
-  assert(false && "NI out of rx queues");
-  return 0;
-}
-
-void DaeliteNetwork::free_tx_queue(topo::NodeId ni, std::uint8_t q) {
-  tx_queue_used_.at(ni)[q] = false;
-}
-void DaeliteNetwork::free_rx_queue(topo::NodeId ni, std::uint8_t q) {
-  rx_queue_used_.at(ni)[q] = false;
+ConfigAgent& DaeliteNetwork::agent_of(topo::NodeId n) {
+  return topo_->is_router(n) ? routers_.at(n).config_agent() : nis_.at(n).config_agent();
 }
 
 // --- Hardware configuration path -------------------------------------------------
@@ -183,13 +154,13 @@ ConnectionHandle DaeliteNetwork::open_connection(const alloc::AllocatedConnectio
   for (topo::NodeId dst : req.dst_nis) h.dst_rx_qs.push_back(alloc_rx_queue(dst));
 
   // Modelling metadata for latency/ordering accounting.
-  nis_.at(req.src_ni)->set_debug_channel(h.src_tx_q, req.channel);
+  nis_.at(req.src_ni).set_debug_channel(h.src_tx_q, req.channel);
 
   if (conn.has_response) {
     const topo::NodeId dst = req.dst_nis[0];
     h.dst_tx_q = alloc_tx_queue(dst);
     h.src_rx_q = alloc_rx_queue(req.src_ni);
-    nis_.at(dst)->set_debug_channel(h.dst_tx_q, conn.response.channel);
+    nis_.at(dst).set_debug_channel(h.dst_tx_q, conn.response.channel);
 
     post_route_setup(req, h.src_tx_q, h.dst_rx_qs);
     post_route_setup(conn.response, h.dst_tx_q, {h.src_rx_q});
@@ -260,7 +231,7 @@ sim::Cycle DaeliteNetwork::run_config(sim::Cycle max_cycles) {
 void DaeliteNetwork::program_route_direct(const alloc::RouteTree& route, std::uint8_t tx_queue,
                                           const std::vector<std::uint8_t>& rx_queues) {
   const tdm::TdmParams& p = options_.tdm;
-  Ni& src = *nis_.at(route.src_ni);
+  Ni& src = nis_.at(route.src_ni);
   src.set_debug_channel(tx_queue, route.channel);
   for (tdm::Slot q : route.inject_slots) {
     src.table().set_tx(q, tx_queue);
@@ -270,30 +241,28 @@ void DaeliteNetwork::program_route_direct(const alloc::RouteTree& route, std::ui
       const auto parent = route.edge_into(*topo_, link.src);
       assert(parent.has_value());
       const auto in_port = static_cast<tdm::PortIndex>(topo_->link(parent->link).dst_port);
-      routers_.at(link.src)->table().set(link.src_port, p.slot_at_link(q, e.depth), in_port);
+      routers_.at(link.src).table().set(link.src_port, p.slot_at_link(q, e.depth), in_port);
     }
     for (std::size_t i = 0; i < route.dst_nis.size(); ++i) {
       const topo::NodeId dst = route.dst_nis[i];
-      nis_.at(dst)->table().set_rx(route.rx_slot(*topo_, p, dst, q), rx_queues[i]);
+      nis_.at(dst).table().set_rx(route.rx_slot(*topo_, p, dst, q), rx_queues[i]);
     }
   }
 }
 
-void DaeliteNetwork::clear_route_direct(const alloc::RouteTree& route, std::uint8_t tx_queue,
-                                        const std::vector<std::uint8_t>& rx_queues) {
-  (void)tx_queue;
-  (void)rx_queues;
+void DaeliteNetwork::clear_route_direct(const alloc::RouteTree& route, std::uint8_t /*tx_queue*/,
+                                        const std::vector<std::uint8_t>& /*rx_queues*/) {
   const tdm::TdmParams& p = options_.tdm;
-  Ni& src = *nis_.at(route.src_ni);
+  Ni& src = nis_.at(route.src_ni);
   for (tdm::Slot q : route.inject_slots) {
     src.table().clear_tx(q);
     for (const alloc::RouteEdge& e : route.edges) {
       const topo::Link& link = topo_->link(e.link);
       if (!topo_->is_router(link.src)) continue;
-      routers_.at(link.src)->table().clear(link.src_port, p.slot_at_link(q, e.depth));
+      routers_.at(link.src).table().clear(link.src_port, p.slot_at_link(q, e.depth));
     }
     for (topo::NodeId dst : route.dst_nis)
-      nis_.at(dst)->table().clear_rx(route.rx_slot(*topo_, p, dst, q));
+      nis_.at(dst).table().clear_rx(route.rx_slot(*topo_, p, dst, q));
   }
 }
 
@@ -301,47 +270,49 @@ void DaeliteNetwork::clear_route_direct(const alloc::RouteTree& route, std::uint
 
 std::uint64_t DaeliteNetwork::total_router_drops() const {
   std::uint64_t n = 0;
-  for (const auto& [id, r] : routers_) n += r->stats().flits_dropped;
+  routers_.for_each([&](const Router& r) { n += r.stats().flits_dropped; });
   return n;
 }
 
 std::uint64_t DaeliteNetwork::total_ni_drops() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_) n += ni->stats().flits_dropped;
+  nis_.for_each([&](const Ni& ni) { n += ni.stats().flits_dropped; });
   return n;
 }
 
 std::uint64_t DaeliteNetwork::total_rx_overflow() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_) n += ni->stats().rx_overflow;
+  nis_.for_each([&](const Ni& ni) { n += ni.stats().rx_overflow; });
   return n;
 }
 
 std::uint64_t DaeliteNetwork::total_cfg_errors() const {
   std::uint64_t n = 0;
-  for (const auto& [id, r] : routers_) n += r->stats().cfg_errors;
-  for (const auto& [id, ni] : nis_) n += ni->stats().cfg_errors;
+  routers_.for_each([&](const Router& r) { n += r.stats().cfg_errors; });
+  nis_.for_each([&](const Ni& ni) { n += ni.stats().cfg_errors; });
   return n;
 }
 
 std::uint64_t DaeliteNetwork::total_corrupt_words() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_)
-    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni->rx_stats(q).corrupt_words;
+  nis_.for_each([&](const Ni& ni) {
+    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni.rx_stats(q).corrupt_words;
+  });
   return n;
 }
 
 std::uint64_t DaeliteNetwork::total_lost_words() const {
   std::uint64_t n = 0;
-  for (const auto& [id, ni] : nis_)
-    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni->rx_stats(q).lost_words;
+  nis_.for_each([&](const Ni& ni) {
+    for (std::size_t q = 0; q < options_.ni_channels; ++q) n += ni.rx_stats(q).lost_words;
+  });
   return n;
 }
 
 std::uint64_t DaeliteNetwork::total_protocol_errors() const {
   std::uint64_t n = 0;
-  for (const auto& [id, r] : routers_) n += r->config_agent().protocol_errors();
-  for (const auto& [id, ni] : nis_) n += ni->config_agent().protocol_errors();
+  routers_.for_each([&](Router& r) { n += r.config_agent().protocol_errors(); });
+  nis_.for_each([&](Ni& ni) { n += ni.config_agent().protocol_errors(); });
   return n;
 }
 
@@ -352,38 +323,24 @@ namespace {
 // 4x32 data words + valid flags + credit; flips land in a carried data
 // word when one exists (first preference: the word the bit addresses),
 // else in the low credit bits so the corruption stays observable.
+// Stuck-at sets the same bit.
 struct FlitFaultPolicy {
   static constexpr std::uint32_t kBits = 128;
   static bool present(const Flit& f) { return f.valid; }
-  static void flip(Flit& f, std::uint32_t bit) {
+  template <typename Op>
+  static void at_bit(Flit& f, std::uint32_t bit, Op op) {
     const std::uint32_t w = (bit / 32) % Flit::kMaxWords;
     const std::uint32_t b = bit % 32;
-    if (f.data_valid[w]) {
-      f.data[w] ^= 1u << b;
-      return;
-    }
-    for (std::uint32_t i = 0; i < Flit::kMaxWords; ++i) {
-      if (f.data_valid[i]) {
-        f.data[i] ^= 1u << b;
-        return;
-      }
-    }
-    f.credit ^= 1u << (b % 6);
+    if (f.data_valid[w]) return op(f.data[w], 1u << b);
+    for (std::uint32_t i = 0; i < Flit::kMaxWords; ++i)
+      if (f.data_valid[i]) return op(f.data[i], 1u << b);
+    op(f.credit, 1u << (b % 6));
+  }
+  static void flip(Flit& f, std::uint32_t bit) {
+    at_bit(f, bit, [](std::uint32_t& v, std::uint32_t m) { v ^= m; });
   }
   static void force_one(Flit& f, std::uint32_t bit) {
-    const std::uint32_t w = (bit / 32) % Flit::kMaxWords;
-    const std::uint32_t b = bit % 32;
-    if (f.data_valid[w]) {
-      f.data[w] |= 1u << b;
-      return;
-    }
-    for (std::uint32_t i = 0; i < Flit::kMaxWords; ++i) {
-      if (f.data_valid[i]) {
-        f.data[i] |= 1u << b;
-        return;
-      }
-    }
-    f.credit |= 1u << (b % 6);
+    at_bit(f, bit, [](std::uint32_t& v, std::uint32_t m) { v |= m; });
   }
 };
 
@@ -400,31 +357,17 @@ struct CfgWordFaultPolicy {
 
 } // namespace
 
-void DaeliteNetwork::attach_fault_lines(sim::FaultInjector& injector, std::uint32_t class_mask) {
+void DaeliteNetwork::attach_fault_lines(sim::FaultInjector& injector) {
   using sim::FaultClass;
-  if ((class_mask & sim::fault_class_bit(FaultClass::kData)) != 0) {
-    // Fresh flits land on link registers only at slot-aligned cycles.
-    const auto stride = static_cast<std::uint32_t>(options_.tdm.words_per_slot);
-    for (topo::LinkId l = 0; l < topo_->link_count(); ++l) {
-      const topo::Link& link = topo_->link(l);
-      sim::Reg<Flit>& reg = topo_->is_router(link.src)
-                                ? routers_.at(link.src)->output_reg(link.src_port)
-                                : nis_.at(link.src)->output_reg();
-      injector.watch<FlitFaultPolicy>(FaultClass::kData, reg, stride, 0);
-    }
-  }
-  auto agent_of = [&](topo::NodeId n) -> ConfigAgent& {
-    return topo_->is_router(n) ? routers_.at(n)->config_agent() : nis_.at(n)->config_agent();
-  };
-  if ((class_mask & sim::fault_class_bit(FaultClass::kCfgFwd)) != 0) {
-    injector.watch<CfgWordFaultPolicy>(FaultClass::kCfgFwd, config_module_->fwd_out());
-    for (topo::NodeId n : cfg_tree_.bfs_order)
-      injector.watch<CfgWordFaultPolicy>(FaultClass::kCfgFwd, agent_of(n).fwd_out());
-  }
-  if ((class_mask & sim::fault_class_bit(FaultClass::kCfgResp)) != 0) {
-    for (topo::NodeId n : cfg_tree_.bfs_order)
-      injector.watch<CfgWordFaultPolicy>(FaultClass::kCfgResp, agent_of(n).resp_out());
-  }
+  // Fresh flits land on link registers only at slot-aligned cycles.
+  const auto stride = static_cast<std::uint32_t>(options_.tdm.words_per_slot);
+  for (topo::LinkId l = 0; l < topo_->link_count(); ++l)
+    injector.watch<FlitFaultPolicy>(FaultClass::kData, link_reg(l), stride, 0);
+  injector.watch<CfgWordFaultPolicy>(FaultClass::kCfgFwd, config_module_->fwd_out());
+  for (topo::NodeId n : cfg_tree_.bfs_order)
+    injector.watch<CfgWordFaultPolicy>(FaultClass::kCfgFwd, agent_of(n).fwd_out());
+  for (topo::NodeId n : cfg_tree_.bfs_order)
+    injector.watch<CfgWordFaultPolicy>(FaultClass::kCfgResp, agent_of(n).resp_out());
 }
 
 } // namespace daelite::hw

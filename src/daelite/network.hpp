@@ -13,7 +13,6 @@
 //    from configuration correctness.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,6 +28,7 @@
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
 #include "topology/graph.hpp"
+#include "topology/node_store.hpp"
 #include "topology/spanning_tree.hpp"
 
 namespace daelite::hw {
@@ -78,9 +78,9 @@ class DaeliteNetwork {
 
   DaeliteNetwork(sim::Kernel& k, const topo::Topology& topo, Options options);
 
-  Router& router(topo::NodeId id) { return *routers_.at(id); }
-  Ni& ni(topo::NodeId id) { return *nis_.at(id); }
-  const Ni& ni(topo::NodeId id) const { return *nis_.at(id); }
+  Router& router(topo::NodeId id) { return routers_.at(id); }
+  Ni& ni(topo::NodeId id) { return nis_.at(id); }
+  const Ni& ni(topo::NodeId id) const { return nis_.at(id); }
   ConfigModule& config_module() { return *config_module_; }
   const topo::ConfigTree& config_tree() const { return cfg_tree_; }
   const CfgIdMap& cfg_ids() const { return cfg_ids_; }
@@ -123,10 +123,10 @@ class DaeliteNetwork {
 
   // --- Queue management --------------------------------------------------------
 
-  std::uint8_t alloc_tx_queue(topo::NodeId ni);
-  std::uint8_t alloc_rx_queue(topo::NodeId ni);
-  void free_tx_queue(topo::NodeId ni, std::uint8_t q);
-  void free_rx_queue(topo::NodeId ni, std::uint8_t q);
+  std::uint8_t alloc_tx_queue(topo::NodeId ni) { return topo::QueuePool::take(queues_.at(ni).tx); }
+  std::uint8_t alloc_rx_queue(topo::NodeId ni) { return topo::QueuePool::take(queues_.at(ni).rx); }
+  void free_tx_queue(topo::NodeId ni, std::uint8_t q) { queues_.at(ni).tx[q] = false; }
+  void free_rx_queue(topo::NodeId ni, std::uint8_t q) { queues_.at(ni).rx[q] = false; }
 
   // --- Aggregate health --------------------------------------------------------
 
@@ -144,14 +144,16 @@ class DaeliteNetwork {
 
   // --- Fault injection ---------------------------------------------------------
 
-  /// Register every link of the selected classes (kData: data links in
-  /// topology order; kCfgFwd/kCfgResp: configuration tree in BFS order)
-  /// with an injector. The injector must have been constructed after this
-  /// network so it commits last in the cycle.
-  void attach_fault_lines(sim::FaultInjector& injector,
-                          std::uint32_t class_mask = sim::kAllFaultClasses);
+  /// Register every link with an injector (kData: data links in topology
+  /// order; kCfgFwd/kCfgResp: configuration tree in BFS order). The
+  /// injector keeps only the lines its plan can touch, and must have been
+  /// constructed after this network so it commits last in the cycle.
+  void attach_fault_lines(sim::FaultInjector& injector);
 
  private:
+  sim::Reg<Flit>& link_reg(topo::LinkId l); ///< the register link l leaves its source on
+  ConfigAgent& agent_of(topo::NodeId n);
+
   /// (segments, queue words) shared by setup and teardown.
   std::vector<std::vector<std::uint8_t>> encode_route_packets(const alloc::RouteTree& route,
                                                               std::uint8_t tx_queue,
@@ -164,16 +166,14 @@ class DaeliteNetwork {
   CfgIdMap cfg_ids_;
   topo::ConfigTree cfg_tree_;
 
-  std::map<topo::NodeId, std::unique_ptr<Router>> routers_;
-  std::map<topo::NodeId, std::unique_ptr<Ni>> nis_;
+  topo::NodeStore<Router> routers_;
+  topo::NodeStore<Ni> nis_;
+  topo::NodeStore<topo::QueuePool> queues_; ///< at NI ids, like nis_
   std::unique_ptr<ConfigModule> config_module_;
   /// Data-path dispatch engines (stride scheduler), one per shard band.
   /// Declared after the elements so they are destroyed first and never
   /// hold a dangling element pointer.
   std::vector<std::unique_ptr<SlotEngine>> engines_;
-
-  std::map<topo::NodeId, std::vector<bool>> tx_queue_used_;
-  std::map<topo::NodeId, std::vector<bool>> rx_queue_used_;
 
   std::uint64_t setup_seq_ = 0;    ///< trace-span sequence numbers (arg0 of the
   std::uint64_t teardown_seq_ = 0; ///< kSetup*/kTeardown* marker records)

@@ -1,5 +1,6 @@
 #include "sim/fault.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -140,7 +141,6 @@ bool FaultPlan::parse_file(const std::string& path, FaultPlan* out, std::string*
 // --- FaultCounters -----------------------------------------------------------
 
 void FaultCounters::add(const FaultCounters& o) {
-  words_seen += o.words_seen;
   injected += o.injected;
   dropped += o.dropped;
   flipped += o.flipped;
@@ -157,14 +157,28 @@ FaultInjector::FaultInjector(Kernel& k, std::string name, FaultPlan plan)
 
 void FaultInjector::add_line(FaultClass cls, std::unique_ptr<FaultLine> line,
                              std::uint32_t word_stride, std::uint32_t word_phase) {
+  const std::uint64_t class_index = attached_[static_cast<std::size_t>(cls)]++;
+  // Keep only lines the plan can touch: rate > 0 keeps all (same RNG stream),
+  // a directive keeps its class, or its `@` line (exact nth counts).
+  const auto targets = [&](const FaultDirective& d) {
+    return d.cls == cls &&
+           (d.line_index < 0 || static_cast<std::uint64_t>(d.line_index) == class_index);
+  };
+  if (plan_.rate <= 0.0 && std::none_of(plan_.directives.begin(), plan_.directives.end(), targets))
+    return;
   Line l;
   l.line = std::move(line);
   l.cls = cls;
   l.stride = word_stride == 0 ? 1 : word_stride;
   l.phase = word_phase % l.stride;
-  for (const Line& other : lines_)
-    if (other.cls == cls) ++l.class_index;
+  l.class_index = class_index;
   lines_.push_back(std::move(l));
+}
+
+FaultCounters FaultInjector::counters() const {
+  FaultCounters total;
+  for (const FaultCounters& c : per_class_) total.add(c);
+  return total;
 }
 
 bool FaultInjector::quiescent() const {
@@ -173,39 +187,32 @@ bool FaultInjector::quiescent() const {
   return true;
 }
 
-void FaultInjector::inject(Line& l, FaultCounters& cc) {
+void FaultInjector::inject(Line& l) {
   FaultLine& line = *l.line;
-  const std::uint64_t word = cc.words_seen;
-  const std::uint64_t line_word = l.words_seen;
-  ++l.words_seen;
-  ++cc.words_seen;
-  ++total_.words_seen;
+  FaultCounters& cc = per_class_[static_cast<std::size_t>(l.cls)];
+  const std::uint64_t word = class_words_[static_cast<std::size_t>(l.cls)]++;
+  const std::uint64_t line_word = l.words_seen++;
 
   const auto apply = [&](FaultDirective::Kind kind, std::uint32_t bit) {
     switch (kind) {
       case FaultDirective::Kind::kDrop:
         line.drop();
         ++cc.dropped;
-        ++total_.dropped;
         break;
       case FaultDirective::Kind::kFlip:
         line.flip_bit(bit % line.bit_count());
         ++cc.flipped;
-        ++total_.flipped;
         break;
       case FaultDirective::Kind::kStuck:
         line.force_bit(bit % line.bit_count());
         ++cc.stuck;
-        ++total_.stuck;
         break;
       case FaultDirective::Kind::kKill:
         line.drop();
         ++cc.killed;
-        ++total_.killed;
         break;
     }
     ++cc.injected;
-    ++total_.injected;
     trace(TraceEvent::kFaultInject, static_cast<std::uint64_t>(l.cls),
           static_cast<std::uint64_t>(kind));
   };
@@ -254,7 +261,7 @@ void FaultInjector::commit() {
   for (Line& l : lines_) {
     if (c % l.stride != l.phase) continue; // no fresh word can have landed
     if (!l.line->present()) continue;
-    inject(l, per_class_[static_cast<std::size_t>(l.cls)]);
+    inject(l);
   }
 }
 

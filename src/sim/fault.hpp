@@ -19,6 +19,11 @@
 // the same cycles, and each batch job owns its injector, so fault streams
 // are reproducible across schedulers and --jobs counts.
 //
+// Cost: the injector keeps only the lines its plan can touch (every line
+// when `rate` > 0, else those a directive names by class and `@` index).
+// Any other line could only bump word counters nobody reads, so a plan
+// that kills one data link pays for one line, not for the whole mesh.
+//
 // A FaultPlan describes what to inject: a background per-word fault
 // `rate`, plus targeted directives — drop / bit-flip the nth word of a
 // class, stuck-at-1 a bit during a cycle window, or kill a link class
@@ -47,11 +52,6 @@ enum class FaultClass : std::uint8_t {
   kAelite = 3,  ///< aelite data links
 };
 inline constexpr std::size_t kFaultClassCount = 4;
-
-constexpr std::uint32_t fault_class_bit(FaultClass c) {
-  return 1u << static_cast<std::uint32_t>(c);
-}
-inline constexpr std::uint32_t kAllFaultClasses = 0xF;
 
 std::string_view fault_class_name(FaultClass c);
 bool parse_fault_class(std::string_view token, FaultClass* out);
@@ -146,8 +146,7 @@ class RegFaultLine final : public FaultLine {
 
 /// Everything the injector did, for the report `health` section.
 struct FaultCounters {
-  std::uint64_t words_seen = 0; ///< fresh words observed on watched lines
-  std::uint64_t injected = 0;   ///< faults applied (sum of the four below)
+  std::uint64_t injected = 0; ///< faults applied (sum of the four below)
   std::uint64_t dropped = 0;
   std::uint64_t flipped = 0;
   std::uint64_t stuck = 0;
@@ -166,7 +165,8 @@ class FaultInjector : public Component {
   /// the producer can commit a fresh word (cycle % stride == phase):
   /// stride 1 for per-cycle configuration links, words_per_slot for
   /// slot-aligned data links. Attachment order is part of the deterministic
-  /// RNG stream — keep it fixed (topology order).
+  /// RNG stream and of the `@` line index — keep it fixed (topology
+  /// order). A line the plan cannot touch is counted and then discarded.
   void add_line(FaultClass cls, std::unique_ptr<FaultLine> line, std::uint32_t word_stride = 1,
                 std::uint32_t word_phase = 0);
 
@@ -176,10 +176,7 @@ class FaultInjector : public Component {
     add_line(cls, std::make_unique<RegFaultLine<T, Policy>>(reg), word_stride, word_phase);
   }
 
-  std::size_t line_count() const { return lines_.size(); }
-  const FaultPlan& plan() const { return plan_; }
-
-  const FaultCounters& counters() const { return total_; }
+  FaultCounters counters() const; ///< summed over every class
   const FaultCounters& counters(FaultClass c) const {
     return per_class_[static_cast<std::size_t>(c)];
   }
@@ -192,9 +189,8 @@ class FaultInjector : public Component {
   /// words per the plan.
   void commit() override;
 
-  /// No watched line holds a word: with the whole network quiescent there
-  /// is nothing to corrupt and no RNG draw to make, so the kernel's
-  /// fixed-point fast-forward stays exact.
+  /// No kept line holds a word: there is nothing to corrupt and no RNG
+  /// draw to make, so the kernel's fixed-point fast-forward stays exact.
   bool quiescent() const override;
 
  private:
@@ -207,13 +203,14 @@ class FaultInjector : public Component {
     std::uint64_t words_seen = 0;  ///< line-local word count (nth with `@`)
   };
 
-  void inject(Line& l, FaultCounters& cc);
+  void inject(Line& l);
 
   FaultPlan plan_;
   Xoshiro256 rng_;
-  std::vector<Line> lines_;
+  std::vector<Line> lines_; ///< the lines the plan can touch, in attachment order
+  std::array<std::uint64_t, kFaultClassCount> attached_{};    ///< lines attached per class
+  std::array<std::uint64_t, kFaultClassCount> class_words_{}; ///< nth without `@`
   std::vector<bool> directive_done_; ///< drop/flip directives already fired
-  FaultCounters total_;
   std::array<FaultCounters, kFaultClassCount> per_class_;
 };
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <stdexcept>
+
 #include "analysis/network_report.hpp"
 #include "daelite/config.hpp"
 #include "daelite/config_host.hpp"
@@ -13,6 +16,7 @@
 #include "sim/fault.hpp"
 #include "sim/json.hpp"
 #include "sim/parallel.hpp"
+#include "sim/random.hpp"
 #include "soc/runner.hpp"
 #include "topology/generators.hpp"
 
@@ -35,6 +39,15 @@ struct NetFixture : ::testing::Test {
 
   void run_cfg() { net->run_config(); }
 };
+
+TEST_F(NetFixture, ElementLookupOfTheWrongKindThrows) {
+  // The dense node-id stores fail as loudly as the maps they replaced.
+  EXPECT_THROW(net->ni(mesh.router(0, 0)), std::out_of_range);
+  EXPECT_THROW(net->router(mesh.ni(0, 0)), std::out_of_range);
+  EXPECT_THROW(net->ni(static_cast<topo::NodeId>(mesh.topo.node_count())), std::out_of_range);
+  EXPECT_THROW(net->alloc_tx_queue(mesh.router(1, 1)), std::out_of_range);
+  EXPECT_NO_THROW(net->ni(mesh.ni(1, 1)));
+}
 
 TEST_F(NetFixture, UnknownOpcodeCountsProtocolErrors) {
   net->config_module().enqueue_packet({0x55, 0, 0, 0}, false); // 0x55: no such opcode
@@ -307,6 +320,124 @@ TEST(OutstandingRead, StrideMatchesReferenceAndNeverCertifiesFixedPoint) {
     now_at_exit[idx++] = kernel.now();
   }
   EXPECT_EQ(now_at_exit[0], now_at_exit[1]);
+}
+
+// --- The lines a plan can touch ----------------------------------------------
+
+/// One call the injector made on a watched line.
+struct LineCall {
+  sim::Cycle cycle;
+  int line;
+  char what; ///< 'p'resent, 'd'rop, 'f'lip, 's'tuck
+  std::uint32_t bit;
+  bool operator==(const LineCall&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LineCall& c) {
+  return os << "{cycle " << c.cycle << ", line " << c.line << ", " << c.what << " " << c.bit << "}";
+}
+
+/// A watched line without a register behind it: it carries a fresh word on
+/// every cycle and logs every call, so a test sees exactly which lines the
+/// injector visited, in which order, and what it did to them.
+class LoggingLine final : public sim::FaultLine {
+ public:
+  LoggingLine(const sim::Kernel& k, int id, std::vector<LineCall>* log)
+      : kernel_(&k), id_(id), log_(log) {}
+  bool present() const override {
+    log_->push_back({kernel_->now(), id_, 'p', 0});
+    return true;
+  }
+  void drop() override { log_->push_back({kernel_->now(), id_, 'd', 0}); }
+  void flip_bit(std::uint32_t bit) override { log_->push_back({kernel_->now(), id_, 'f', bit}); }
+  void force_bit(std::uint32_t bit) override { log_->push_back({kernel_->now(), id_, 's', bit}); }
+  std::uint32_t bit_count() const override { return 32; }
+
+ private:
+  const sim::Kernel* kernel_;
+  int id_;
+  std::vector<LineCall>* log_;
+};
+
+/// Six data lines (ids 0-5, a fresh word every `data_stride` cycles) then
+/// three cfg_fwd lines (ids 6-8, every cycle), attached in id order.
+struct LoggedInjector {
+  sim::Kernel kernel;
+  std::vector<LineCall> log;
+  sim::FaultInjector injector;
+
+  explicit LoggedInjector(const std::string& plan, std::uint32_t data_stride = 1,
+                          sim::Scheduler sched = sim::Scheduler::kStride)
+      : kernel(sched), injector(kernel, "fault", plan_from(plan)) {
+    for (int id = 0; id < 9; ++id) {
+      const bool data = id < 6;
+      injector.add_line(data ? sim::FaultClass::kData : sim::FaultClass::kCfgFwd,
+                        std::make_unique<LoggingLine>(kernel, id, &log), data ? data_stride : 1);
+    }
+  }
+
+  std::vector<LineCall> faults() const {
+    std::vector<LineCall> out;
+    for (const LineCall& c : log)
+      if (c.what != 'p') out.push_back(c);
+    return out;
+  }
+};
+
+TEST(FaultLineSet, LineDirectiveVisitsOnlyItsLine) {
+  LoggedInjector t("kill data@3 0 100");
+  t.kernel.run(50);
+  ASSERT_FALSE(t.log.empty());
+  for (const LineCall& c : t.log) EXPECT_EQ(c.line, 3) << "cycle " << c.cycle << " call " << c.what;
+  EXPECT_EQ(t.faults().size(), 50u);
+  EXPECT_EQ(t.injector.counters(sim::FaultClass::kData).killed, 50u);
+}
+
+TEST(FaultLineSet, BackgroundRateVisitsEveryLineInAttachmentOrder) {
+  // Replay the documented stream: one Bernoulli draw per fresh word, lines
+  // in attachment order; on a hit, a second draw's low bit picks drop vs
+  // flip and the rest picks the flipped bit. The reference scheduler never
+  // asks quiescent(), so the log holds commit()'s calls alone.
+  LoggedInjector t("seed 7\nrate 0.3", 1, sim::Scheduler::kReference);
+  constexpr sim::Cycle kCycles = 40;
+  t.kernel.run(kCycles);
+
+  sim::Xoshiro256 rng(7);
+  std::vector<LineCall> want;
+  for (sim::Cycle c = 0; c < kCycles; ++c) {
+    for (int id = 0; id < 9; ++id) {
+      want.push_back({c, id, 'p', 0});
+      if (!rng.chance(0.3)) continue;
+      const std::uint64_t u = rng.next();
+      if ((u & 1) != 0) {
+        want.push_back({c, id, 'd', 0});
+      } else {
+        want.push_back({c, id, 'f', static_cast<std::uint32_t>(u >> 1) % 32});
+      }
+    }
+  }
+  EXPECT_EQ(t.log, want);
+  EXPECT_GT(t.injector.counters().dropped, 0u);
+  EXPECT_GT(t.injector.counters().flipped, 0u);
+}
+
+TEST(FaultLineSet, NthWordCountsAreUnchanged) {
+  // Data lines see a word every third cycle. `drop data 8` counts the whole
+  // class: words 0-5 at cycle 0, 6-11 at cycle 3, so word 8 is line 2 at
+  // cycle 3. `drop data@2 5` counts line 2 alone: its sixth word, cycle 15.
+  // `flip cfg_fwd 4 9`: three cfg lines a cycle, word 4 is line 7 at cycle 1.
+  {
+    LoggedInjector t("drop data 8\nflip cfg_fwd 4 9", 3);
+    t.kernel.run(30);
+    const std::vector<LineCall> want = {{1, 7, 'f', 9}, {3, 2, 'd', 0}};
+    EXPECT_EQ(t.faults(), want);
+  }
+  {
+    LoggedInjector t("drop data@2 5", 3);
+    t.kernel.run(30);
+    const std::vector<LineCall> want = {{15, 2, 'd', 0}};
+    EXPECT_EQ(t.faults(), want);
+  }
 }
 
 } // namespace
