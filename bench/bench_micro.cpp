@@ -9,6 +9,7 @@
 #include "alloc/joint_alloc.hpp"
 #include "alloc/usecase.hpp"
 #include "daelite/network.hpp"
+#include "sim/fifo.hpp"
 #include "sim/random.hpp"
 #include "sim/trace.hpp"
 #include "topology/generators.hpp"
@@ -113,6 +114,46 @@ void BM_KernelCyclesLoaded4x4Traced(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KernelCyclesLoaded4x4Traced);
+
+// One NI queue in steady state: a push, a pop and a clock edge per
+// iteration on a capacity-32 queue holding 16 words — the per-edge cost of
+// the data path's queues.
+void BM_FifoRegPushPopCommit(benchmark::State& state) {
+  sim::FifoReg<std::uint32_t> q;
+  for (std::uint32_t w = 0; w < 16; ++w) q.push(w);
+  q.commit_reg();
+  std::uint32_t w = 16;
+  for (auto _ : state) {
+    if (q.next_size() < 32) q.push(w++);
+    benchmark::DoNotOptimize(q.pop());
+    q.commit_reg();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FifoRegPushPopCommit);
+
+// One word through one tx channel of an 8-channel NI: the shell's push and
+// its edge, then the slot that sends it and its edge. Each edge has one
+// written channel; an NI that latched all of its channels paid for 33
+// registers per edge.
+void BM_NiCommitOneDirtyChannel(benchmark::State& state) {
+  sim::Kernel k;
+  hw::Ni::Params p;
+  p.tdm = tdm::daelite_params(8);
+  hw::Ni ni(k, "ni", 1, p);
+  ni.table().set_tx(0, 3);
+  ni.set_flow_ctrl_direct(3, false);
+  std::uint32_t w = 0;
+  for (auto _ : state) {
+    ni.tx_push(3, w++);
+    ni.commit();
+    ni.slot_tick(0);
+    ni.commit();
+  }
+  benchmark::DoNotOptimize(ni.tx_stats(3).words_sent);
+  state.SetItemsProcessed(static_cast<std::int64_t>(2 * state.iterations()));
+}
+BENCHMARK(BM_NiCommitOneDirtyChannel);
 
 void BM_ShortestPath8x8(benchmark::State& state) {
   const auto mesh = topo::make_mesh(8, 8);

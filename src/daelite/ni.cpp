@@ -1,6 +1,7 @@
 #include "daelite/ni.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "tdm/flit.hpp"
@@ -24,37 +25,32 @@ Ni::Ni(sim::Kernel& k, std::string name, std::uint16_t cfg_id, Params params)
          "hardware model requires hop_cycles == words_per_slot");
   assert(params_.num_channels <= 63 && "queue ids are 6 bits in config words");
   assert(params_.tdm.words_per_slot <= Flit::kMaxWords);
-  own(output_);
-  for (auto& ch : tx_) {
-    own(ch.queue);
-    own(ch.space);
-  }
-  for (auto& ch : rx_) {
-    own(ch.queue);
-    own(ch.pending);
-  }
+  own(output_); // the channel registers latch through the dirty masks
 }
 
-bool Ni::tx_push(std::size_t q, std::uint32_t word) {
-  auto& ch = tx_[q];
-  if (ch.queue.next_size() >= params_.queue_capacity) return false;
-  ch.queue.push(word);
-  external_write();
+void Ni::commit() {
+  sim::Component::commit();
+  for (std::uint64_t m = tx_dirty_; m != 0; m &= m - 1) {
+    TxChannel& ch = tx_[static_cast<std::size_t>(std::countr_zero(m))];
+    ch.queue.commit_reg();
+    ch.space.commit_reg();
+  }
+  for (std::uint64_t m = rx_dirty_; m != 0; m &= m - 1) {
+    RxChannel& ch = rx_[static_cast<std::size_t>(std::countr_zero(m))];
+    ch.queue.commit_reg();
+    ch.pending.commit_reg();
+  }
+  tx_dirty_ = rx_dirty_ = 0;
+  assert(channels_latched() && "a channel register was written without its dirty bit");
+}
+
+bool Ni::channels_latched() const {
+  for (std::size_t q = 0; q < tx_.size(); ++q) {
+    for (const sim::FifoReg<std::uint32_t>* f : {&tx_[q].queue, &rx_[q].queue})
+      if (f->pending_pushes() != 0 || f->poppable() != f->size()) return false;
+    if (tx_[q].space.pending() || rx_[q].pending.pending()) return false;
+  }
   return true;
-}
-
-std::size_t Ni::tx_space(std::size_t q) const {
-  const auto& ch = tx_[q];
-  const std::size_t used = ch.queue.next_size();
-  return used >= params_.queue_capacity ? 0 : params_.queue_capacity - used;
-}
-
-std::optional<std::uint32_t> Ni::rx_pop(std::size_t q) {
-  auto& ch = rx_[q];
-  if (ch.queue.poppable() == 0) return std::nullopt;
-  ch.pending.add(1); // the word is now "delivered"; credit it back
-  external_write();
-  return ch.queue.pop();
 }
 
 void Ni::set_pair_direct(std::size_t tx_q, std::size_t rx_q) {
@@ -111,6 +107,7 @@ void Ni::slot_tick(tdm::Slot slot) {
       ch.integrity_seq = static_cast<std::uint8_t>((ch.integrity_seq + 1) % kIntegritySeqPeriod);
     }
     if (can_send > 0) {
+      tx_dirty_ |= std::uint64_t{1} << tx_q; // the pops, and space.sub
       if (ch.flow_ctrl) ch.space.sub(can_send);
       ch.stats.words_sent += can_send;
       ++ch.stats.flits_sent;
@@ -127,6 +124,7 @@ void Ni::slot_tick(tdm::Slot slot) {
       if (c > 0) {
         out.credit = c;
         prx.pending.sub(c);
+        rx_dirty_ |= std::uint64_t{1} << ch.paired_rx;
         ch.stats.credits_sent += c;
         trace(sim::TraceEvent::kCreditSend, tx_q, c);
       }
@@ -149,6 +147,7 @@ void Ni::slot_tick(tdm::Slot slot) {
     return;
   }
   auto& ch = rx_[rx_q];
+  rx_dirty_ |= std::uint64_t{1} << rx_q; // the queue pushes below
   ++ch.stats.flits_received;
   for (std::uint32_t i = 0; i < in.num_words; ++i) {
     if (!in.data_valid[i]) continue;
@@ -181,6 +180,7 @@ void Ni::slot_tick(tdm::Slot slot) {
   if (in.credit > 0) {
     if (ch.paired_tx != kCfgNoQueue && ch.paired_tx < tx_.size()) {
       tx_[ch.paired_tx].space.add(in.credit);
+      tx_dirty_ |= std::uint64_t{1} << ch.paired_tx;
       ch.stats.credits_received += in.credit;
       trace(sim::TraceEvent::kCreditReceive, rx_q, in.credit);
     } else {

@@ -77,16 +77,37 @@ class Ni : public sim::Component, public ConfigTarget {
 
   /// Enqueue one word for transmission on channel queue q. Returns false
   /// when the queue (committed + already-pushed) is full.
-  bool tx_push(std::size_t q, std::uint32_t word);
+  bool tx_push(std::size_t q, std::uint32_t word) {
+    TxChannel& ch = tx_[q];
+    if (ch.queue.next_size() >= params_.queue_capacity) return false;
+    ch.queue.push(word);
+    tx_dirty_ |= std::uint64_t{1} << q;
+    external_write();
+    return true;
+  }
 
   /// Words of tx queue space left this cycle.
-  std::size_t tx_space(std::size_t q) const;
+  std::size_t tx_space(std::size_t q) const {
+    const std::size_t used = tx_[q].queue.next_size();
+    return used >= params_.queue_capacity ? 0 : params_.queue_capacity - used;
+  }
   std::size_t tx_level(std::size_t q) const { return tx_[q].queue.size(); }
 
   /// Dequeue one received word from rx queue q; increments the pending
   /// credit counter (the word has been "delivered").
-  std::optional<std::uint32_t> rx_pop(std::size_t q);
+  std::optional<std::uint32_t> rx_pop(std::size_t q) {
+    RxChannel& ch = rx_[q];
+    if (ch.queue.poppable() == 0) return std::nullopt;
+    ch.pending.add(1); // the word is now "delivered"; credit it back
+    rx_dirty_ |= std::uint64_t{1} << q;
+    external_write();
+    return ch.queue.pop();
+  }
   std::size_t rx_level(std::size_t q) const { return rx_[q].queue.size(); }
+
+  /// True when no channel register holds a push, pop or counter delta
+  /// that the next commit() has yet to latch.
+  bool channels_latched() const;
 
   // --- Direct (test / bypass) configuration ----------------------------------
 
@@ -107,6 +128,9 @@ class Ni : public sim::Component, public ConfigTarget {
   const sim::Histogram& rx_latency(std::size_t q) const { return rx_[q].latency; }
 
   void tick() override;
+  /// Latches the output and only the channels written this cycle (the
+  /// dirty masks); latching an unwritten channel would be a no-op.
+  void commit() override;
   /// Nothing queued to send, no credits owed, no flit on the input or
   /// output register: the tick would only rewrite an invalid output.
   /// (Non-empty rx queues do not block quiescence — tick never reads them;
@@ -168,6 +192,9 @@ class Ni : public sim::Component, public ConfigTarget {
   ConfigAgent cfg_agent_;
   std::vector<TxChannel> tx_;
   std::vector<RxChannel> rx_;
+  // Bit q: a push, pop, add or sub hit channel q's registers this cycle.
+  std::uint64_t tx_dirty_ = 0;
+  std::uint64_t rx_dirty_ = 0;
   std::array<std::uint16_t, 128> bus_regs_{}; ///< adjacent-bus configuration space
   Stats stats_;
 };

@@ -88,7 +88,10 @@ class Component {
   virtual void tick() = 0;
 
   /// Clock edge. The default commits every register registered via own().
-  /// Override only to add extra sequential behaviour, and call the base.
+  /// An override adds sequential behaviour and calls the base; it may also
+  /// latch registers it does not own() itself (e.g. only the ones written
+  /// this cycle), provided it latches every register written since the
+  /// last edge.
   virtual void commit();
 
   const std::string& name() const { return name_; }

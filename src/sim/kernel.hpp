@@ -36,8 +36,9 @@
 //   * tick() reads only committed Reg state (its own and other
 //     components'), writes only its own next-state/private members, and
 //     calls no kernel service except trace();
-//   * commit() is the default register latch (no override that reads or
-//     writes another component).
+//   * commit() latches only the component's own registers (an override may
+//     latch a subset, e.g. those written this cycle) and reads or writes no
+//     other component.
 //
 // Routers and NIs satisfy this by construction; components with
 // cross-component tick or commit behaviour (config agents mutating their

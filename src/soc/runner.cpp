@@ -257,10 +257,13 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
           if (words < layer.traffic[i].words) return false;
       return true;
     };
+    std::vector<const hw::ConnectionHandle*> handles;
+    for (const workload::CompiledConnection& c : layer.traffic)
+      handles.push_back(&open.at(c.spec.name));
     while (!done() && kernel.now() - start < sc.run_cycles) {
       for (std::size_t i = 0; i < layer.traffic.size(); ++i) {
         const workload::CompiledConnection& c = layer.traffic[i];
-        const hw::ConnectionHandle& h = open.at(c.spec.name);
+        const hw::ConnectionHandle& h = *handles[i];
         hw::Ni& src = net.ni(c.spec.src_ni);
         while (pushed[i] < c.words &&
                src.tx_push(h.src_tx_q, static_cast<std::uint32_t>(pushed[i] + 1)))

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "alloc/allocator.hpp"
 #include "alloc/usecase.hpp"
@@ -388,5 +390,87 @@ TEST_P(ContentionFreeProperty, RandomConnectionsZeroDropsExactLatency) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContentionFreeProperty,
                          ::testing::Values(11ull, 22ull, 33ull, 44ull));
+
+// --- Property: the NI's dirty-channel commit latches every write ----------------
+//
+// Ni::commit() latches only the channels whose dirty bit a write set. A
+// missing mark would leave a push, pop or counter delta waiting for a
+// later, unrelated commit; both schedulers run the same rule, so
+// cross-scheduler identity cannot see it. This drives seeded random
+// pushes and pops on both directions of unicast and multicast channels
+// through small queues (full queues, stalls, credit returns) and checks
+// every NI after every step.
+
+class NiDirtyCommitProperty
+    : public ::testing::TestWithParam<std::tuple<sim::Scheduler, std::uint64_t>> {};
+
+TEST_P(NiDirtyCommitProperty, EveryStepLatchesEveryChannelWrite) {
+  const auto [sched, seed] = GetParam();
+  topo::Mesh mesh = topo::make_mesh(3, 3);
+  sim::Kernel kernel(sched);
+  DaeliteNetwork::Options opt;
+  opt.tdm = tdm::daelite_params(8);
+  opt.ni_queue_capacity = 6;
+  opt.cfg_root = mesh.ni(0, 0);
+  DaeliteNetwork net(kernel, mesh.topo, opt);
+  alloc::SlotAllocator allocator(mesh.topo, opt.tdm);
+  sim::Xoshiro256 rng(seed);
+  const auto nis = mesh.all_nis();
+
+  std::vector<ConnectionHandle> handles;
+  for (int i = 0; i < 10; ++i) {
+    const topo::NodeId src = nis[rng.below(nis.size())];
+    std::vector<topo::NodeId> dsts;
+    const std::size_t fanout = rng.chance(0.3) ? 2 : 1;
+    while (dsts.size() < fanout) {
+      const topo::NodeId d = nis[rng.below(nis.size())];
+      if (d != src && std::find(dsts.begin(), dsts.end(), d) == dsts.end()) dsts.push_back(d);
+    }
+    alloc::UseCase uc;
+    uc.connections.push_back({"r", src, dsts, static_cast<std::uint32_t>(rng.range(1, 2)), 1});
+    auto a = alloc::allocate_use_case(allocator, uc);
+    if (a) handles.push_back(net.open_connection(a->connections[0]));
+  }
+  ASSERT_GT(handles.size(), 2u);
+  ASSERT_NE(net.run_config(), sim::kNoCycle);
+
+  const auto check_all = [&](int step) {
+    for (topo::NodeId n : nis)
+      ASSERT_TRUE(net.ni(n).channels_latched()) << "NI " << n << " after step " << step;
+  };
+  check_all(-1);
+  std::uint64_t moved = 0;
+  for (int step = 0; step < 3000; ++step) {
+    for (const ConnectionHandle& h : handles) {
+      Ni& src = net.ni(h.conn.request.src_ni);
+      for (std::uint64_t w = rng.below(4); w > 0 && src.tx_push(h.src_tx_q, 1); --w) ++moved;
+      for (std::size_t d = 0; d < h.dst_rx_qs.size(); ++d) {
+        if (!rng.chance(0.4)) continue; // let rx queues fill and credits stall
+        Ni& dst = net.ni(h.conn.request.dst_nis[d]);
+        for (std::uint64_t w = rng.below(3); w > 0 && dst.rx_pop(h.dst_rx_qs[d]); --w) ++moved;
+      }
+      if (!h.conn.has_response) continue;
+      Ni& dst = net.ni(h.conn.request.dst_nis[0]);
+      if (rng.chance(0.5)) src.rx_pop(h.src_rx_q);
+      if (rng.chance(0.3)) dst.tx_push(h.dst_tx_q, 2);
+    }
+    kernel.step();
+    check_all(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(moved, 3000u);
+  EXPECT_EQ(net.total_router_drops(), 0u);
+  EXPECT_EQ(net.total_ni_drops(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulersAndSeeds, NiDirtyCommitProperty,
+    ::testing::Combine(::testing::Values(sim::Scheduler::kStride, sim::Scheduler::kReference),
+                       ::testing::Values(5ull, 77ull)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == sim::Scheduler::kStride ? "stride"
+                                                                              : "reference") +
+             "_seed" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace

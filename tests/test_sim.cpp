@@ -12,6 +12,7 @@
 #include "sim/trace.hpp"
 #include "sim/vcd.hpp"
 
+#include <deque>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -320,6 +321,123 @@ TEST(FifoReg, SimultaneousPushAndPopCommute) {
   f.commit_reg();
   EXPECT_EQ(f.size(), 1u);
   EXPECT_EQ(f.at(0), 2);
+}
+
+/// A model FIFO replaying the documented semantics: reads see the
+/// committed queue, the edge drops this cycle's pops and appends its pushes.
+struct FifoModel {
+  std::deque<int> committed;
+  std::vector<int> pushes;
+  std::size_t pops = 0;
+  void commit() {
+    committed.erase(committed.begin(), committed.begin() + static_cast<std::ptrdiff_t>(pops));
+    committed.insert(committed.end(), pushes.begin(), pushes.end());
+    pushes.clear();
+    pops = 0;
+  }
+};
+
+void expect_matches(const FifoReg<int>& f, const FifoModel& m) {
+  ASSERT_EQ(f.size(), m.committed.size());
+  ASSERT_EQ(f.poppable(), m.committed.size() - m.pops);
+  ASSERT_EQ(f.pending_pushes(), m.pushes.size());
+  for (std::size_t i = 0; i < m.committed.size(); ++i) ASSERT_EQ(f.at(i), m.committed[i]) << i;
+}
+
+TEST(FifoReg, InterleavedPushPopAcrossManyWrapArounds) {
+  // A bounded queue in steady state: its ring never grows past the first
+  // fill, so the committed window wraps the ring over and over; at(i) must
+  // follow the window across the seam.
+  FifoReg<int> f;
+  FifoModel m;
+  Xoshiro256 rng(11);
+  int next = 0;
+  for (int cycle = 0; cycle < 5000; ++cycle) {
+    const std::size_t pops = rng.below(f.poppable() + 1);
+    for (std::size_t i = 0; i < pops; ++i) ASSERT_EQ(f.pop(), m.committed[m.pops++]);
+    while (f.next_size() < 12 && rng.chance(0.6)) {
+      f.push(next);
+      m.pushes.push_back(next++);
+    }
+    ASSERT_EQ(f.next_size(), m.committed.size() - m.pops + m.pushes.size());
+    expect_matches(f, m);
+    f.commit_reg();
+    m.commit();
+    expect_matches(f, m);
+  }
+  EXPECT_GT(next, 1000); // the ring holds at most 32 entries: it wrapped many times
+}
+
+TEST(FifoReg, GrowsPastInitialCapacityWithWordsInFlight) {
+  FifoReg<int> f;
+  FifoModel m;
+  // Park the head mid-ring, so the growth has to unroll a wrapped window.
+  for (int v = 0; v < 6; ++v) {
+    f.push(v);
+    m.pushes.push_back(v);
+  }
+  f.commit_reg();
+  m.commit();
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(f.pop(), m.committed[m.pops++]);
+  f.commit_reg();
+  m.commit();
+  // Now grow several times within one cycle while the committed word is
+  // being popped: committed, popped and pushed words must all survive.
+  EXPECT_EQ(f.pop(), m.committed[m.pops++]);
+  for (int v = 100; v < 170; ++v) {
+    f.push(v);
+    m.pushes.push_back(v);
+  }
+  expect_matches(f, m);
+  EXPECT_EQ(f.next_size(), 70u);
+  f.commit_reg();
+  m.commit();
+  expect_matches(f, m);
+  for (int v = 100; v < 170; ++v) EXPECT_EQ(f.pop(), v);
+  f.commit_reg();
+  EXPECT_TRUE(f.empty());
+}
+
+TEST(FifoReg, ClearDropsCommittedPoppedAndPushedWords) {
+  FifoReg<int> f;
+  for (int v = 0; v < 20; ++v) f.push(v);
+  f.commit_reg();
+  f.pop();
+  f.push(99);
+  f.clear();
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.poppable(), 0u);
+  EXPECT_EQ(f.pending_pushes(), 0u);
+  EXPECT_EQ(f.next_size(), 0u);
+  f.commit_reg();
+  EXPECT_EQ(f.size(), 0u);
+  // Usable again, from a clean front.
+  f.push(7);
+  f.commit_reg();
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.at(0), 7);
+  EXPECT_EQ(f.pop(), 7);
+}
+
+TEST(FifoReg, CarriesNonTrivialPayloads) {
+  // The configuration host queues whole packets (a word vector each);
+  // growth and wrap-around must move them intact.
+  FifoReg<std::vector<std::uint8_t>> f;
+  std::size_t popped = 0;
+  for (std::uint8_t n = 1; n < 60; ++n) {
+    f.push(std::vector<std::uint8_t>(n, n));
+    if (n % 3 == 0) {
+      const std::vector<std::uint8_t> p = f.pop();
+      ++popped;
+      EXPECT_EQ(p, std::vector<std::uint8_t>(popped, static_cast<std::uint8_t>(popped)));
+    }
+    f.commit_reg();
+  }
+  ASSERT_EQ(f.size(), 59 - popped);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const auto n = static_cast<std::uint8_t>(popped + 1 + i);
+    EXPECT_EQ(f.at(i), std::vector<std::uint8_t>(n, n));
+  }
 }
 
 TEST(CounterReg, AddAndSubAccumulate) {
