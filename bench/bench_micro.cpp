@@ -155,6 +155,28 @@ void BM_NiCommitOneDirtyChannel(benchmark::State& state) {
 }
 BENCHMARK(BM_NiCommitOneDirtyChannel);
 
+// One slot of a 5x5 mesh router carrying one scheduled flit: the forward
+// that copies it onto its output, then the edge that latches that output
+// alone (the other four are left as they are).
+void BM_RouterForwardOneFlit(benchmark::State& state) {
+  sim::Kernel k;
+  hw::Router r(k, "r", 1, 5, 5, tdm::daelite_params(8));
+  std::vector<sim::Reg<hw::Flit>> in(5);
+  for (std::size_t i = 0; i < in.size(); ++i) r.connect_input(i, &in[i]);
+  hw::Flit f;
+  f.valid = true;
+  f.num_words = 2;
+  in[0].force(f);
+  r.table().set(2, 0, 0); // slot 0: out 2 <- in 0; the kernel stays at cycle 0
+  for (auto _ : state) {
+    r.tick();
+    r.commit();
+  }
+  benchmark::DoNotOptimize(r.forwarded_on(2));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RouterForwardOneFlit);
+
 void BM_ShortestPath8x8(benchmark::State& state) {
   const auto mesh = topo::make_mesh(8, 8);
   topo::PathFinder f(mesh.topo);

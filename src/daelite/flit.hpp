@@ -43,6 +43,8 @@ struct Flit {
   std::uint64_t debug_seq = 0;
   sim::Cycle inject_cycle = sim::kNoCycle;
 
+  bool operator==(const Flit&) const = default;
+
   bool any_data() const {
     for (std::size_t i = 0; i < num_words; ++i)
       if (data_valid[i]) return true;

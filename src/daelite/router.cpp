@@ -1,5 +1,6 @@
 #include "daelite/router.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "sim/log.hpp"
@@ -25,8 +26,7 @@ Router::Router(sim::Kernel& k, std::string name, std::uint16_t cfg_id, std::size
   // are supported by the allocator and analytics only.
   assert(params_.slot_shift_per_hop() == 1 && "hardware model requires hop_cycles == words_per_slot");
   assert(num_inputs <= 8 && num_outputs <= 8 && "port ids are 3 bits in config words");
-  for (auto& o : outputs_) own(o);
-  forwarded_per_out_.resize(num_outputs, 0);
+  forwarded_per_out_.resize(num_outputs, 0); // the outputs latch through dirty_, not own()
 }
 
 void Router::tick() {
@@ -34,34 +34,46 @@ void Router::tick() {
   forward(params_.slot_of_cycle(now()));
 }
 
-std::uint8_t Router::forward(tdm::Slot slot) {
-  const std::uint8_t scheduled = table_.out_mask(slot);
+void Router::forward(tdm::Slot slot) {
+  std::uint8_t present = 0;
+  for (std::size_t i = 0; i < inputs_.size(); ++i)
+    if (inputs_[i] != nullptr && inputs_[i]->get().valid) present |= 1u << i;
   std::uint8_t consumed = 0;
   std::uint8_t valid_out = 0;
-  for (std::size_t o = 0; o < outputs_.size(); ++o) {
-    Flit f{};
-    const tdm::PortIndex in = (scheduled >> o) & 1u ? table_.input_for(o, slot) : tdm::kUnusedPort;
-    if (in != tdm::kUnusedPort && in < inputs_.size() && inputs_[in] != nullptr) {
-      f = inputs_[in]->get();
-      if (f.valid) {
-        consumed |= static_cast<std::uint8_t>(1u << in);
-        valid_out |= static_cast<std::uint8_t>(1u << o);
-        ++stats_.flits_forwarded;
-        ++forwarded_per_out_[o];
-        trace(sim::TraceEvent::kFlitForward, o, in);
-      }
-    }
-    outputs_[o].set(f);
+  for (unsigned m = table_.out_mask(slot); m != 0; m &= m - 1) {
+    const auto o = static_cast<std::size_t>(std::countr_zero(m));
+    const tdm::PortIndex in = table_.input_for(o, slot);
+    if (in >= inputs_.size() || ((present >> in) & 1u) == 0) continue;
+    outputs_[o].set(inputs_[in]->get());
+    consumed |= 1u << in;
+    valid_out |= 1u << o;
+    ++stats_.flits_forwarded;
+    ++forwarded_per_out_[o];
+    trace(sim::TraceEvent::kFlitForward, o, in);
   }
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i] == nullptr || !inputs_[i]->get().valid) continue;
-    ++stats_.flits_in;
-    if ((consumed >> i) & 1u) continue;
+  const std::uint8_t stale = latched_ & ~valid_out;
+  for (unsigned m = stale; m != 0; m &= m - 1) outputs_[std::countr_zero(m)].next().valid = false;
+  dirty_ = valid_out | stale;
+  latched_ = valid_out;
+  stats_.flits_in += static_cast<std::uint64_t>(std::popcount(present));
+  for (unsigned m = present & ~consumed; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
     ++stats_.flits_dropped;
     trace(sim::TraceEvent::kFlitDrop, slot, i);
     sim::log_debug(name(), "dropped flit at input ", i, " slot ", slot, " (no slot-table entry)");
   }
-  return valid_out;
+}
+
+void Router::commit() {
+  for (unsigned m = dirty_; m != 0; m &= m - 1) outputs_[std::countr_zero(m)].commit_reg();
+  dirty_ = 0;
+  assert(outputs_latched() && "an output was written without its dirty bit");
+}
+
+bool Router::outputs_latched() const {
+  for (const sim::Reg<Flit>& o : outputs_)
+    if (o.next() != o.get()) return false;
+  return true;
 }
 
 bool Router::quiescent() const {

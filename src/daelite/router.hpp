@@ -65,9 +65,17 @@ class Router : public sim::Component, public ConfigTarget {
   }
 
   void tick() override;
+  /// Latches only the outputs the last forward() wrote (dirty_); an
+  /// output it left alone already holds its next value. The router
+  /// own()s no register.
+  void commit() override;
   /// No flit on any wired input or output register: forwarding would only
   /// rewrite invalid flits, touching no counter and recording no trace.
   bool quiescent() const override;
+
+  /// True when every output's next value equals its committed value, i.e.
+  /// no forward() write awaits the next commit().
+  bool outputs_latched() const;
 
   // ConfigTarget
   std::uint16_t cfg_id() const override { return cfg_id_; }
@@ -88,17 +96,18 @@ class Router : public sim::Component, public ConfigTarget {
 
  private:
   /// The slot engine dispatches forward() itself and skips a router whose
-  /// inputs carry nothing (see daelite/slot_engine.hpp); it reads inputs_
-  /// to decide.
+  /// inputs carry nothing and whose latched_ is empty (see
+  /// daelite/slot_engine.hpp); it reads inputs_ and latched_ to decide.
   friend class SlotEngine;
 
   /// One slot of the crossbar — the forwarding rule every dispatcher runs
   /// (tick() on slot starts, hw::SlotEngine for the routers it drives).
-  /// Each output latches the flit on the input its table entry names, or
-  /// an invalid flit when the entry is unused or the input carries none;
-  /// a valid input no output took is a drop. Returns the outputs that
-  /// latched a valid flit.
-  std::uint8_t forward(tdm::Slot slot);
+  /// A scheduled output whose input carries a valid flit gets a copy of
+  /// it; an output latched_ valid that gets none has only its next valid
+  /// bit cleared (its stale payload stays); every other output is left
+  /// alone. A valid input no output took is a drop. Marks the written
+  /// outputs in dirty_ and the valid ones in latched_.
+  void forward(tdm::Slot slot);
 
   std::uint16_t cfg_id_;
   tdm::TdmParams params_;
@@ -108,6 +117,8 @@ class Router : public sim::Component, public ConfigTarget {
   ConfigAgent cfg_agent_;
   Stats stats_;
   std::vector<std::uint64_t> forwarded_per_out_; ///< per-output-link forwarded flits
+  std::uint8_t latched_ = 0; ///< outputs the last forward() latched valid
+  std::uint8_t dirty_ = 0;   ///< outputs written since the last commit()
 };
 
 } // namespace daelite::hw

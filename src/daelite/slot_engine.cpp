@@ -15,14 +15,14 @@ void SlotEngine::add_router(Router& r) {
   assert(!finalized_);
   assert(r.params_.num_slots == params_.num_slots &&
          r.params_.words_per_slot == params_.words_per_slot);
-  assert(r.quiescent() && "valid_out starts empty");
-  items_.push_back({&r, nullptr, 0});
+  assert(r.quiescent() && r.latched_ == 0 && "the router starts with no output latched valid");
+  items_.push_back({&r, nullptr});
 }
 
 void SlotEngine::add_ni(Ni& n) {
   assert(!finalized_);
   assert(n.params().tdm.num_slots == params_.num_slots);
-  items_.push_back({nullptr, &n, 0});
+  items_.push_back({nullptr, &n});
 }
 
 void SlotEngine::finalize(std::uint32_t shard) {
@@ -48,9 +48,9 @@ void SlotEngine::tick() {
       const bool any_in = std::any_of(ins.begin(), ins.end(), [](const sim::Reg<Flit>* in) {
         return in != nullptr && in->get().valid;
       });
-      if (!any_in && it.valid_out == 0) continue; // idle neighbourhood: skip whole element
+      if (!any_in && it.router->latched_ == 0) continue; // idle neighbourhood: skip whole element
       kernel().set_stage_key(*it.router);
-      it.valid_out = it.router->forward(slot);
+      it.router->forward(slot);
     }
     ticked_.push_back(&it.element());
   }

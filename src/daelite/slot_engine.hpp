@@ -21,17 +21,18 @@
 // Forwarding itself is Router::forward, the one rule Router::tick runs
 // under the reference scheduler; NIs run their own slot_tick. The win is
 // skipping: an element whose links are provably idle this slot — no
-// valid flit on any input, no valid flit latched on any output (tracked
-// as a per-router uint8 `valid_out` superset; fault injection can only
+// valid flit on any input, no valid flit latched on any output (the
+// router's own `latched_` byte, a superset since fault injection can only
 // clear valid bits, never set them), and for NIs nothing queued and no
 // credits owed (Ni::slot_quiet) — is skipped entirely, tick AND commit.
-// Skipping is exact for everything observable (registers' valid bits,
-// counters, traces, reports): the only divergence is the payload bytes of
-// stale *invalid* flits left in output registers, which every consumer
-// gates on `valid` before reading. The VCD probes (vcd_probes.hpp) are
-// the exception: they sample NI payloads ungated, and a ctest
-// (cli_vcd_scheduler_identity) pins their output against the reference
-// on the shipped scenarios. External queue writes
+// A skipped router is exact to the byte: forward() leaves an output
+// alone unless it forwards onto it or clears a valid bit it latched, so
+// both schedulers keep the same stale payload under an invalid output.
+// A skipped NI keeps its invalid output where the reference rewrites an
+// invalid one; every consumer gates on `valid` before reading a payload,
+// and the VCD probes, which sample NI payloads ungated, are pinned
+// against the reference by a ctest (cli_vcd_scheduler_identity) on the
+// shipped scenarios. External queue writes
 // to skipped NIs still commit through the kernel's touched pass, which
 // the engine leaves untouched for elements it did not tick.
 //
@@ -83,7 +84,6 @@ class SlotEngine final : public sim::Component {
   struct Item {
     Router* router = nullptr;
     Ni* ni = nullptr;
-    std::uint8_t valid_out = 0; ///< router: superset of its valid committed outputs
     sim::Component& element() const {
       return router != nullptr ? static_cast<sim::Component&>(*router) : *ni;
     }

@@ -493,12 +493,14 @@ void Kernel::step_stride_staged(std::size_t r, bool use_pool) {
     if (c != nullptr) c->tick();
   }
 
-  // Commit phase. Parallel commits are the default register latch (the
-  // sharded-component contract), touching only the component's own state;
-  // overriding commits with cross-component behaviour — the fault injector
-  // corrupting committed link registers, the health monitor sampling them —
-  // live in the serial set and run after the join, so they observe every
-  // latch exactly as they do when they commit last in index order.
+  // Commit phase. A parallel commit latches only the component's own
+  // registers, possibly just those written this cycle (the sharded-
+  // component contract; routers and NIs latch their dirty outputs and
+  // channels), and touches no other component. Commits with
+  // cross-component behaviour — the fault injector corrupting committed
+  // link registers, the health monitor sampling them — live in the serial
+  // set and run after the join, so they observe every latch exactly as
+  // they do when they commit last in index order.
   if (use_pool) {
     run_parallel_round(1);
   } else {
@@ -506,7 +508,7 @@ void Kernel::step_stride_staged(std::size_t r, bool use_pool) {
       run_shard_list(due_shard_[r * shards_ + s], 1, &stage_[s]);
     }
   }
-  flush_staged_traces(); // default latches never trace: normally a no-op
+  flush_staged_traces(); // register latches never trace: normally a no-op
   for (std::uint32_t i : serial) {
     Component* c = components_[i];
     if (c != nullptr) {

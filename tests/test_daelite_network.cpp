@@ -399,7 +399,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContentionFreeProperty,
 // cross-scheduler identity cannot see it. This drives seeded random
 // pushes and pops on both directions of unicast and multicast channels
 // through small queues (full queues, stalls, credit returns) and checks
-// every NI after every step.
+// every NI after every step. Router::commit() follows the same rule for
+// its outputs (forward() marks what it writes), so every router is
+// checked too.
 
 class NiDirtyCommitProperty
     : public ::testing::TestWithParam<std::tuple<sim::Scheduler, std::uint64_t>> {};
@@ -437,6 +439,8 @@ TEST_P(NiDirtyCommitProperty, EveryStepLatchesEveryChannelWrite) {
   const auto check_all = [&](int step) {
     for (topo::NodeId n : nis)
       ASSERT_TRUE(net.ni(n).channels_latched()) << "NI " << n << " after step " << step;
+    for (topo::NodeId r : mesh.routers)
+      ASSERT_TRUE(net.router(r).outputs_latched()) << "router " << r << " after step " << step;
   };
   check_all(-1);
   std::uint64_t moved = 0;

@@ -134,6 +134,38 @@ TEST_F(RouterTest, InvalidFlitsAreNotCountedOrForwardedAsTraffic) {
   EXPECT_FALSE(r.output_reg(0).get().valid);
 }
 
+TEST_F(RouterTest, StaleOutputClearsOneSlotLaterAndIdleForwardLatchesNothing) {
+  r.table().set(0, 2, 0); // slot 2: out 0 <- in 0; out 1 is scheduled nowhere
+  run_to_slot(1);
+  in0.drive(make_flit(5)); // on in 0 during slot 1, forwarded in slot 2
+  in1.drive(make_flit(6)); // on in 1 during slot 1: no output takes it
+  run_to_slot(2);
+  k.step();
+  ASSERT_TRUE(r.output_reg(0).get().valid);
+  EXPECT_FALSE(r.output_reg(1).get().valid);
+  EXPECT_EQ(r.stats().flits_dropped, 1u);
+  EXPECT_TRUE(r.outputs_latched());
+
+  // The next slot forwards nothing onto out 0: it reads invalid exactly
+  // one slot after it latched, keeping its stale payload.
+  run_to_slot(3);
+  EXPECT_TRUE(r.output_reg(0).get().valid);
+  k.step();
+  EXPECT_FALSE(r.output_reg(0).get().valid);
+  EXPECT_EQ(r.output_reg(0).get().data[0], 5u);
+
+  // From here every forward is idle: it writes nothing for the next
+  // commit to latch, and counts nothing.
+  for (sim::Cycle i = 0; i < 3 * params.wheel_cycles(); ++i) {
+    r.tick();
+    EXPECT_TRUE(r.outputs_latched()) << "cycle " << k.now();
+    k.step();
+  }
+  EXPECT_EQ(r.stats().flits_forwarded, 1u);
+  EXPECT_EQ(r.stats().flits_in, 2u);
+  EXPECT_EQ(r.stats().flits_dropped, 1u); // the unscheduled valid input, counted once
+}
+
 TEST_F(RouterTest, CfgApplyPathSetsAndClearsMaskedSlots) {
   // slots {1,3}: out 1 <- in 0.
   const std::uint64_t mask = (1u << 1) | (1u << 3);
