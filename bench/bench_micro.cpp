@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "alloc/allocator.hpp"
 #include "alloc/joint_alloc.hpp"
 #include "alloc/usecase.hpp"
@@ -16,6 +19,21 @@
 #include "topology/path.hpp"
 
 using namespace daelite;
+
+// Heap allocation counter: every global operator new in this binary bumps
+// it, so a benchmark can report allocations per operation.
+namespace {
+std::size_t g_allocs = 0;
+} // namespace
+
+// Out of line, so GCC sees no malloc() paired with an operator delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -191,6 +209,28 @@ void BM_KShortest8x8(benchmark::State& state) {
 }
 BENCHMARK(BM_KShortest8x8);
 
+// The cold-cache load of a churn stream: a fresh finder, then k = 8 paths
+// for every ordered NI pair of the 8x8 mesh.
+void BM_KShortestAllPairs8x8(benchmark::State& state) {
+  const auto mesh = topo::make_mesh(8, 8);
+  const std::vector<topo::NodeId> nis = mesh.all_nis();
+  std::size_t calls = 0;
+  const std::size_t allocs_before = g_allocs;
+  for (auto _ : state) {
+    topo::PathFinder f(mesh.topo);
+    for (topo::NodeId a : nis)
+      for (topo::NodeId b : nis) {
+        if (a == b) continue;
+        benchmark::DoNotOptimize(f.k_shortest(a, b, 8));
+        ++calls;
+      }
+  }
+  state.counters["allocs_per_call"] =
+      static_cast<double>(g_allocs - allocs_before) / static_cast<double>(calls);
+  state.SetItemsProcessed(static_cast<std::int64_t>(calls));
+}
+BENCHMARK(BM_KShortestAllPairs8x8)->Unit(benchmark::kMillisecond);
+
 void BM_AllocateRelease4x4(benchmark::State& state) {
   const auto mesh = topo::make_mesh(4, 4);
   alloc::SlotAllocator a(mesh.topo, tdm::daelite_params(16));
@@ -221,11 +261,14 @@ void BM_MulticastAllocate4x4(benchmark::State& state) {
 }
 BENCHMARK(BM_MulticastAllocate4x4);
 
-// Tree growth dominates: the trunk candidates are memoized after the first
-// call, and each extra destination searches from every tree router.
+// Tree growth dominates: the incremental allocator memoizes the trunk
+// candidates after the first call, and each extra destination searches from
+// every tree router.
 void BM_MulticastAllocate8x8(benchmark::State& state) {
   const auto mesh = topo::make_mesh(8, 8);
-  alloc::SlotAllocator a(mesh.topo, tdm::daelite_params(32));
+  alloc::AllocatorOptions options;
+  options.incremental = true;
+  alloc::SlotAllocator a(mesh.topo, tdm::daelite_params(32), options);
   alloc::ChannelSpec spec;
   spec.src_ni = mesh.ni(0, 0);
   spec.dst_nis = {mesh.ni(7, 7), mesh.ni(7, 0), mesh.ni(0, 7), mesh.ni(3, 4)};

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <functional>
 #include <limits>
-#include <map>
 
 namespace daelite::alloc {
 
@@ -308,80 +306,34 @@ void SlotAllocator::release(const RouteTree& route) {
   }
 }
 
-std::optional<SlotAllocator::PreemptionPlan> SlotAllocator::plan_preemption(
-    const ChannelSpec& spec, const std::function<bool(tdm::ChannelId)>& preemptable) {
-  if (!valid_spec(spec) || spec.dst_nis.size() != 1 || !preemptable) return std::nullopt;
-
-  std::optional<PreemptionPlan> best;
-  const auto& paths = candidate_paths(spec.src_ni, spec.dst_nis[0]);
-  for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-    const topo::Path& p = paths[pi];
-    if (p.empty()) continue;
-    const RouteTree shape = RouteTree::from_path(*topo_, p, {}, tdm::kNoChannel);
-
-    // Feasible injection slots under "free OR preemptable" occupancy, each
-    // with the channels that would have to go.
-    struct SlotChoice {
-      tdm::Slot q = 0;
-      std::vector<tdm::ChannelId> victims; ///< sorted, unique
-    };
-    std::vector<SlotChoice> feasible;
-    for (tdm::Slot q = 0; q < params_.num_slots; ++q) {
-      SlotChoice c;
-      c.q = q;
-      bool ok = true;
-      for (const RouteEdge& e : shape.edges) {
-        const tdm::Slot s = params_.slot_at_link(q, e.depth);
-        const tdm::ChannelId owner = schedule_.owner(e.link, s);
-        if (owner == tdm::kNoChannel) continue;
-        if (!preemptable(owner)) {
-          ok = false;
-          break;
-        }
-        const auto it = std::lower_bound(c.victims.begin(), c.victims.end(), owner);
-        if (it == c.victims.end() || *it != owner) c.victims.insert(it, owner);
-      }
-      if (ok) feasible.push_back(std::move(c));
-    }
-    if (feasible.size() < spec.slots_required) continue;
-
-    // Greedy min-victims cover: repeatedly take the unchosen slot adding the
-    // fewest channels not already condemned (ties: lowest slot).
-    std::vector<tdm::ChannelId> condemned;
-    std::vector<bool> chosen(feasible.size(), false);
-    const auto new_victims = [&](const SlotChoice& c) {
-      std::size_t n = 0;
-      for (tdm::ChannelId v : c.victims)
-        if (!std::binary_search(condemned.begin(), condemned.end(), v)) ++n;
-      return n;
-    };
-    for (std::uint32_t picked = 0; picked < spec.slots_required; ++picked) {
-      std::size_t best_i = feasible.size();
-      std::size_t best_add = std::numeric_limits<std::size_t>::max();
-      for (std::size_t i = 0; i < feasible.size(); ++i) {
-        if (chosen[i]) continue;
-        const std::size_t add = new_victims(feasible[i]);
-        if (add < best_add) {
-          best_add = add;
-          best_i = i;
-        }
-      }
-      chosen[best_i] = true;
-      for (tdm::ChannelId v : feasible[best_i].victims) {
-        const auto it = std::lower_bound(condemned.begin(), condemned.end(), v);
-        if (it == condemned.end() || *it != v) condemned.insert(it, v);
+std::vector<tdm::ChannelId> SlotAllocator::min_victim_cover(
+    const std::vector<std::vector<tdm::ChannelId>>& feasible, std::uint32_t want) {
+  std::vector<tdm::ChannelId> condemned;
+  std::vector<bool> chosen(feasible.size(), false);
+  const auto new_victims = [&](const std::vector<tdm::ChannelId>& victims) {
+    std::size_t n = 0;
+    for (tdm::ChannelId v : victims)
+      if (!std::binary_search(condemned.begin(), condemned.end(), v)) ++n;
+    return n;
+  };
+  for (std::uint32_t picked = 0; picked < want; ++picked) {
+    std::size_t best_i = feasible.size();
+    std::size_t best_add = std::numeric_limits<std::size_t>::max();
+    for (std::size_t i = 0; i < feasible.size(); ++i) {
+      if (chosen[i]) continue;
+      const std::size_t add = new_victims(feasible[i]);
+      if (add < best_add) {
+        best_add = add;
+        best_i = i;
       }
     }
-
-    if (!best || condemned.size() < best->victims.size()) {
-      best.emplace();
-      best->path = p;
-      best->path_index = pi;
-      best->victims = std::move(condemned);
-      if (best->victims.empty()) break; // cannot beat a free path
+    chosen[best_i] = true;
+    for (tdm::ChannelId v : feasible[best_i]) {
+      const auto it = std::lower_bound(condemned.begin(), condemned.end(), v);
+      if (it == condemned.end() || *it != v) condemned.insert(it, v);
     }
   }
-  return best;
+  return condemned;
 }
 
 void SlotAllocator::quarantine_link(topo::LinkId link) {
@@ -460,37 +412,39 @@ bool SlotAllocator::grow_tree(RouteTree& tree, const topo::Path& trunk,
                               const ChannelSpec& spec) const {
   tree.dst_nis = {trunk.dest(*topo_)};
 
-  // Depth of every node currently on the tree.
-  std::map<topo::NodeId, std::uint32_t> depth;
+  // Depth + 1 of every node currently on the tree (0 = off the tree).
+  tree_depth_.assign(topo_->node_count(), 0);
   // Branch paths may not pass *through* other tree nodes (that would break
   // the tree property), so links into tree nodes are blocked; NIs cannot
   // forward, so no branch may leave one either.
-  std::vector<std::uint8_t> blocked(topo_->link_count(), 0);
+  tree_blocked_.assign(topo_->link_count(), 0);
   const auto join = [&](topo::NodeId node, std::uint32_t d) {
-    depth[node] = d;
-    for (topo::LinkId l : topo_->node(node).in_links) blocked[l] = 1;
+    tree_depth_[node] = d + 1;
+    for (topo::LinkId l : topo_->node(node).in_links) tree_blocked_[l] = 1;
     if (topo_->is_ni(node))
-      for (topo::LinkId l : topo_->node(node).out_links) blocked[l] = 1;
+      for (topo::LinkId l : topo_->node(node).out_links) tree_blocked_[l] = 1;
   };
   join(tree.src_ni, 0);
   for (const RouteEdge& e : tree.edges) join(topo_->link(e.link).dst, e.depth + 1);
 
   for (std::size_t i = 1; i < spec.dst_nis.size(); ++i) {
     const topo::NodeId dst = spec.dst_nis[i];
-    if (depth.count(dst) != 0) return false; // dst interior to tree: not allowed
+    if (tree_depth_[dst] != 0) return false; // dst interior to tree: not allowed
 
     // Branch from the tree router that yields the shortest attachment
-    // (ties: lowest node id).
+    // (ties: lowest node id). Routers are tried in ascending id and only a
+    // strictly shorter branch replaces the best, so each search is bounded
+    // by one hop less than the best so far.
     topo::Path best;
     std::uint32_t best_depth = 0;
-    for (const auto& [node, d] : depth) {
-      if (!topo_->is_router(node)) continue;
-      topo::Path p = finder_.shortest(node, dst, blocked);
+    for (topo::NodeId node = 0; node < tree_depth_.size(); ++node) {
+      if (tree_depth_[node] == 0 || !topo_->is_router(node)) continue;
+      const std::size_t bound = best.empty() ? topo::PathFinder::kUnbounded : best.hop_count() - 1;
+      if (bound == 0) break; // nothing beats a one-link branch
+      topo::Path p = finder_.shortest(node, dst, tree_blocked_, bound);
       if (p.empty()) continue;
-      if (best.empty() || p.hop_count() < best.hop_count()) {
-        best = std::move(p);
-        best_depth = d;
-      }
+      best = std::move(p);
+      best_depth = tree_depth_[node] - 1;
     }
     if (best.empty()) return false;
 

@@ -21,8 +21,8 @@
 //    incremental mode only removes redundant work (tests/test_churn.cpp
 //    pins the equivalence on replayed request logs).
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -157,8 +157,10 @@ class SlotAllocator {
   /// for multicast specs or when no path can be freed even with every
   /// preemptable channel gone. Deterministic and read-only on the
   /// schedule; identical between incremental and from-scratch modes.
-  std::optional<PreemptionPlan> plan_preemption(
-      const ChannelSpec& spec, const std::function<bool(tdm::ChannelId)>& preemptable);
+  /// `preemptable` is any bool(tdm::ChannelId) callable, called inline.
+  template <typename Preemptable>
+  std::optional<PreemptionPlan> plan_preemption(const ChannelSpec& spec,
+                                                const Preemptable& preemptable);
 
   // --- Link quarantine ---------------------------------------------------------
 
@@ -230,6 +232,14 @@ class SlotAllocator {
   /// false if some destination cannot be attached.
   bool grow_tree(RouteTree& tree, const topo::Path& trunk, const ChannelSpec& spec) const;
 
+  /// Greedy min-victims cover of `want` slots out of `feasible` (at least
+  /// `want` entries, each the sorted victims that free one injection slot,
+  /// in slot order): repeatedly take the unchosen slot adding the fewest
+  /// channels not already condemned (ties: lowest slot). Returns the
+  /// condemned channels, ascending.
+  static std::vector<tdm::ChannelId> min_victim_cover(
+      const std::vector<std::vector<tdm::ChannelId>>& feasible, std::uint32_t want);
+
   const topo::Topology* topo_;
   tdm::TdmParams params_;
   AllocatorOptions options_;
@@ -256,6 +266,55 @@ class SlotAllocator {
   /// static topology). Only consulted in incremental mode.
   std::unordered_map<std::uint64_t, std::vector<topo::Path>> path_cache_;
   std::vector<topo::Path> scratch_paths_; ///< from-scratch mode's return slot
+
+  // grow_tree scratch: depth + 1 of each tree node (0 = off the tree), and
+  // the links no branch may use.
+  mutable std::vector<std::uint32_t> tree_depth_;
+  mutable std::vector<std::uint8_t> tree_blocked_;
 };
+
+template <typename Preemptable>
+std::optional<SlotAllocator::PreemptionPlan> SlotAllocator::plan_preemption(
+    const ChannelSpec& spec, const Preemptable& preemptable) {
+  if (!valid_spec(spec) || spec.dst_nis.size() != 1) return std::nullopt;
+
+  std::optional<PreemptionPlan> best;
+  const auto& paths = candidate_paths(spec.src_ni, spec.dst_nis[0]);
+  for (std::size_t pi = 0; pi < paths.size(); ++pi) {
+    const topo::Path& p = paths[pi];
+    if (p.empty()) continue;
+
+    // Feasible injection slots under "free OR preemptable" occupancy, each
+    // with the channels that would have to go (sorted, unique). Link j of a
+    // path sits at depth j of its route.
+    std::vector<std::vector<tdm::ChannelId>> feasible;
+    for (tdm::Slot q = 0; q < params_.num_slots; ++q) {
+      std::vector<tdm::ChannelId> victims;
+      bool ok = true;
+      for (std::size_t j = 0; j < p.links.size(); ++j) {
+        const tdm::ChannelId owner = schedule_.owner(p.links[j], params_.slot_at_link(q, j));
+        if (owner == tdm::kNoChannel) continue;
+        if (!preemptable(owner)) {
+          ok = false;
+          break;
+        }
+        const auto it = std::lower_bound(victims.begin(), victims.end(), owner);
+        if (it == victims.end() || *it != owner) victims.insert(it, owner);
+      }
+      if (ok) feasible.push_back(std::move(victims));
+    }
+    if (feasible.size() < spec.slots_required) continue;
+
+    std::vector<tdm::ChannelId> condemned = min_victim_cover(feasible, spec.slots_required);
+    if (!best || condemned.size() < best->victims.size()) {
+      best.emplace();
+      best->path = p;
+      best->path_index = pi;
+      best->victims = std::move(condemned);
+      if (best->victims.empty()) break; // cannot beat a free path
+    }
+  }
+  return best;
+}
 
 } // namespace daelite::alloc

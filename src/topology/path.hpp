@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -43,21 +44,29 @@ class PathFinder {
  public:
   explicit PathFinder(const Topology& topo);
 
+  static constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
   /// Minimum-hop path from -> to that uses no link l with blocked[l] != 0
-  /// (`blocked` is empty or has link_count entries) and no excluded link.
-  /// Empty path if unreachable or from == to. Level-synchronous BFS that
+  /// (`blocked` is empty or has link_count entries) and no excluded link,
+  /// has at most `max_hops` links and enters no node of `banned`. Empty
+  /// path if there is none or from == to. Level-synchronous BFS that
   /// expands each level in ascending node id and keeps the first link to
   /// discover a node: among equal-length paths it returns the one a
   /// (dist, node)-ordered Dijkstra with first-strict-improvement
-  /// relaxation returns.
-  Path shortest(NodeId from, NodeId to, std::span<const std::uint8_t> blocked = {}) const;
+  /// relaxation returns. A bound only truncates the search, so the result
+  /// is the unbounded one whenever that fits the bound.
+  Path shortest(NodeId from, NodeId to, std::span<const std::uint8_t> blocked = {},
+                std::size_t max_hops = kUnbounded, std::span<const NodeId> banned = {}) const;
 
   /// Yen's algorithm: up to k loopless shortest paths in nondecreasing hop
-  /// order. Used by the multipath allocator ([29] in the paper).
+  /// order, ties in lexicographic link order. Used by the multipath
+  /// allocator ([29] in the paper). Spurs start at each path's deviation
+  /// index (Lawler) and are length-bounded by the candidates already held;
+  /// neither changes the result of plain Yen.
   std::vector<Path> k_shortest(NodeId from, NodeId to, std::size_t k) const;
 
   /// Persistently remove a link from every search (the allocator's link
-  /// quarantine). Enforced inside shortest — which k_shortest builds on —
+  /// quarantine). Enforced inside the search that shortest and k_shortest share,
   /// so no caller-supplied mask can resurrect an excluded link.
   void exclude_link(LinkId l);
   void clear_exclusions() { excluded_.assign(excluded_.size(), 0); }
@@ -67,6 +76,11 @@ class PathFinder {
     LinkId link;
     NodeId dst;
   };
+
+  /// The one BFS behind shortest and k_shortest: appends the path's links
+  /// to `out` and returns true, or leaves `out` alone and returns false.
+  bool search(NodeId from, NodeId to, std::span<const std::uint8_t> blocked, std::size_t max_hops,
+              std::span<const NodeId> banned, std::vector<LinkId>& out) const;
 
   const Topology* topo_;
   std::vector<std::uint32_t> off_; ///< node u's out-arcs are arcs_[off_[u], off_[u + 1])
@@ -78,6 +92,8 @@ class PathFinder {
   mutable std::vector<LinkId> via_;            ///< discovering link, valid where seen_
   mutable std::vector<std::uint8_t> yen_mask_; ///< all zero between k_shortest calls
   mutable std::vector<LinkId> yen_set_;        ///< entries of yen_mask_ set for one spur
+  mutable std::vector<NodeId> yen_nodes_;      ///< node sequence of the path being spurred
+  mutable std::vector<LinkId> yen_total_;      ///< root + spur of the current spur
 };
 
 } // namespace daelite::topo

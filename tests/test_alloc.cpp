@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
 
 #include "alloc/allocator.hpp"
@@ -219,6 +222,93 @@ TEST(SlotAllocator, MulticastTreeSharesTrunkLinks) {
   // Links: NI->R0, R0->R1, R1->R2, R2->NI2, R2->R3, R3->NI3 = 6 links,
   // versus 4 + 5 = 9 for separate connections.
   EXPECT_EQ(r->edges.size(), 6u);
+}
+
+// Multicast tree oracle: the tree grown the plain way, with one unbounded
+// search from every tree router (ascending id, first strictly shorter
+// branch wins) over a node -> depth map, starting from the first trunk.
+// Empty if that trunk cannot carry every destination.
+std::vector<RouteEdge> reference_tree(const topo::Topology& t, const topo::PathFinder& f,
+                                      const ChannelSpec& spec) {
+  const topo::Path trunk = f.shortest(spec.src_ni, spec.dst_nis[0]);
+  if (trunk.empty()) return {};
+  std::vector<RouteEdge> edges = RouteTree::from_path(t, trunk, {}, tdm::kNoChannel).edges;
+  std::map<topo::NodeId, std::uint32_t> depth;
+  std::vector<std::uint8_t> blocked(t.link_count(), 0);
+  const auto join = [&](topo::NodeId node, std::uint32_t d) {
+    depth[node] = d;
+    for (topo::LinkId l : t.node(node).in_links) blocked[l] = 1;
+    if (t.is_ni(node))
+      for (topo::LinkId l : t.node(node).out_links) blocked[l] = 1;
+  };
+  join(spec.src_ni, 0);
+  for (const RouteEdge& e : edges) join(t.link(e.link).dst, e.depth + 1);
+  for (std::size_t i = 1; i < spec.dst_nis.size(); ++i) {
+    const topo::NodeId dst = spec.dst_nis[i];
+    if (depth.count(dst) != 0) return {};
+    topo::Path best;
+    std::uint32_t best_depth = 0;
+    for (const auto& [node, d] : depth) {
+      if (!t.is_router(node)) continue;
+      topo::Path p = f.shortest(node, dst, blocked);
+      if (!p.empty() && (best.empty() || p.hop_count() < best.hop_count())) {
+        best = std::move(p);
+        best_depth = d;
+      }
+    }
+    if (best.empty()) return {};
+    for (std::size_t j = 0; j < best.links.size(); ++j) {
+      const auto d = best_depth + static_cast<std::uint32_t>(j);
+      edges.push_back(RouteEdge{best.links[j], d});
+      join(t.link(best.links[j]).dst, d + 1);
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const RouteEdge& a, const RouteEdge& b) {
+    return a.depth < b.depth || (a.depth == b.depth && a.link < b.link);
+  });
+  return edges;
+}
+
+TEST(SlotAllocator, MulticastTreesMatchUnboundedReference) {
+  // Fresh allocators, so the first trunk always has free slots and the tree
+  // the allocator returns is the one grown from it.
+  const auto m = topo::make_mesh(8, 8);
+  const std::vector<topo::NodeId> nis = m.all_nis();
+  std::mt19937_64 rng(26);
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::size_t compared = 0;
+  for (int round = 0; round < 200; ++round) {
+    SlotAllocator alloc(m.topo, tdm::daelite_params(32));
+    topo::PathFinder f(m.topo);
+    for (std::size_t q = pick(4); q > 0; --q) {
+      const auto l = static_cast<topo::LinkId>(pick(m.topo.link_count()));
+      alloc.quarantine_link(l);
+      f.exclude_link(l);
+    }
+    ChannelSpec spec;
+    spec.src_ni = nis[pick(nis.size())];
+    const std::size_t dsts = 2 + pick(3);
+    while (spec.dst_nis.size() < dsts) {
+      const topo::NodeId d = nis[pick(nis.size())];
+      if (d == spec.src_ni) continue;
+      if (std::find(spec.dst_nis.begin(), spec.dst_nis.end(), d) == spec.dst_nis.end())
+        spec.dst_nis.push_back(d);
+    }
+    spec.slots_required = 1 + static_cast<std::uint32_t>(pick(2));
+
+    const std::vector<RouteEdge> want = reference_tree(m.topo, f, spec);
+    const auto r = alloc.allocate(spec);
+    if (want.empty()) continue; // a later trunk may still carry the tree
+    ASSERT_TRUE(r.has_value()) << "round " << round;
+    EXPECT_EQ(r->dst_nis, spec.dst_nis) << "round " << round;
+    ASSERT_EQ(r->edges.size(), want.size()) << "round " << round;
+    for (std::size_t e = 0; e < want.size(); ++e) {
+      EXPECT_EQ(r->edges[e].link, want[e].link) << "round " << round << " edge " << e;
+      EXPECT_EQ(r->edges[e].depth, want[e].depth) << "round " << round << " edge " << e;
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 150u); // the skip above stays rare
 }
 
 TEST(SlotAllocator, RejectsInvalidSpecs) {

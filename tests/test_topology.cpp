@@ -296,6 +296,101 @@ TEST(PathOracle, ShortestAndKShortestMatchHeapDijkstraOnRing) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) ExpectMatchesReference(m, seed);
 }
 
+// Every ordered NI pair, as a cold allocator path cache asks: k_shortest
+// must equal the reference Yen for each k, with no and with two excluded
+// links. Plain Yen's first k paths do not depend on k, so one reference run
+// at the largest k serves every k. With `stride` > 1 only every stride-th
+// pair is checked (the stride is coprime to the pair count per source, so
+// every source and destination still appears).
+void ExpectAllPairsMatchReference(const Mesh& m, std::initializer_list<std::size_t> ks,
+                                  std::size_t stride = 1) {
+  const Topology& t = m.topo;
+  const std::vector<NodeId> nis = m.all_nis();
+  const std::size_t max_k = *std::max_element(ks.begin(), ks.end());
+  std::mt19937_64 rng(t.node_count());
+  for (const std::size_t excluded : {0u, 2u}) {
+    PathFinder f(t);
+    std::vector<double> base(t.link_count(), 1.0);
+    while (static_cast<std::size_t>(std::count(base.begin(), base.end(), kInf)) < excluded) {
+      const auto l = static_cast<LinkId>(rng() % t.link_count());
+      f.exclude_link(l);
+      base[l] = kInf;
+    }
+    std::size_t pair = 0;
+    for (NodeId from : nis)
+      for (NodeId to : nis) {
+        if (from == to || pair++ % stride != 0) continue;
+        const std::vector<Path> ref = RefKShortest(t, from, to, max_k, base);
+        for (std::size_t k : ks) {
+          const std::vector<Path> want(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(
+                                                                      std::min(k, ref.size())));
+          EXPECT_EQ(f.k_shortest(from, to, k), want)
+              << from << "->" << to << " k " << k << " excluded " << excluded;
+        }
+      }
+  }
+}
+
+TEST(PathOracle, KShortestAllNiPairsMatchReferenceOn8x8Mesh) {
+#ifdef NDEBUG
+  ExpectAllPairsMatchReference(make_mesh(8, 8), {8});
+#else
+  // Unoptimised (Debug, sanitizer) builds run the heap-Dijkstra reference
+  // some 40x slower: they check every 8th of the 4032 pairs.
+  ExpectAllPairsMatchReference(make_mesh(8, 8), {8}, /*stride=*/8);
+#endif
+}
+
+TEST(PathOracle, KShortestAllNiPairsMatchReferenceOn4x4Torus) {
+  ExpectAllPairsMatchReference(make_mesh(4, 4, 1, /*wrap=*/true), {1, 3, 8, 12});
+}
+
+TEST(PathOracle, KShortestAllNiPairsMatchReferenceOnRing) {
+  ExpectAllPairsMatchReference(make_ring(8, 2), {1, 3, 8, 12});
+}
+
+TEST(Path, BoundedSearchReturnsShortestWithinBoundOnly) {
+  const Mesh m = make_mesh(4, 4, 1, /*wrap=*/true);
+  PathFinder f(m.topo);
+  for (NodeId from : m.all_nis())
+    for (NodeId to : m.all_nis()) {
+      const Path full = f.shortest(from, to);
+      for (std::size_t h = 0; h <= full.hop_count() + 1; ++h) {
+        if (h >= full.hop_count()) {
+          EXPECT_EQ(f.shortest(from, to, {}, h), full) << from << "->" << to << " bound " << h;
+        } else {
+          EXPECT_TRUE(f.shortest(from, to, {}, h).empty()) << from << "->" << to << " bound " << h;
+        }
+      }
+    }
+}
+
+TEST(Path, BannedNodesAreNeverEntered) {
+  // Banning a node is blocking every link into and out of it: same path,
+  // and the path visits no banned node.
+  const Mesh m = make_mesh(5, 5);
+  const Topology& t = m.topo;
+  PathFinder f(t);
+  std::mt19937_64 rng(7);
+  const std::vector<NodeId> nis = m.all_nis();
+  for (int q = 0; q < 200; ++q) {
+    const NodeId from = nis[rng() % nis.size()];
+    const NodeId to = nis[rng() % nis.size()];
+    std::vector<NodeId> banned;
+    std::vector<std::uint8_t> blocked(t.link_count(), 0);
+    for (std::size_t b = rng() % 8; b > 0; --b) {
+      const NodeId n = m.routers[rng() % m.routers.size()];
+      banned.push_back(n);
+      for (LinkId l : t.node(n).out_links) blocked[l] = 1;
+      for (LinkId l : t.node(n).in_links) blocked[l] = 1;
+    }
+    const Path p = f.shortest(from, to, {}, PathFinder::kUnbounded, banned);
+    EXPECT_EQ(p, f.shortest(from, to, blocked)) << from << "->" << to;
+    for (NodeId n : p.nodes(t))
+      EXPECT_EQ(std::find(banned.begin(), banned.end(), n), banned.end()) << from << "->" << to;
+  }
+}
+
 TEST(Path, KShortestAreDistinctLooplessAndOrdered) {
   const Mesh m = make_mesh(3, 3);
   PathFinder f(m.topo);
