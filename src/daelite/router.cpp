@@ -31,13 +31,10 @@ Router::Router(sim::Kernel& k, std::string name, std::uint16_t cfg_id, std::size
 
 void Router::tick() {
   if (!params_.is_slot_start(now())) return;
-  forward(params_.slot_of_cycle(now()));
+  forward(params_.slot_of_cycle(now()), present_inputs());
 }
 
-void Router::forward(tdm::Slot slot) {
-  std::uint8_t present = 0;
-  for (std::size_t i = 0; i < inputs_.size(); ++i)
-    if (inputs_[i] != nullptr && inputs_[i]->get().valid) present |= 1u << i;
+void Router::forward(tdm::Slot slot, std::uint8_t present) {
   std::uint8_t consumed = 0;
   std::uint8_t valid_out = 0;
   for (unsigned m = table_.out_mask(slot); m != 0; m &= m - 1) {

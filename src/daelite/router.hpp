@@ -77,6 +77,12 @@ class Router : public sim::Component, public ConfigTarget {
   /// no forward() write awaits the next commit().
   bool outputs_latched() const;
 
+  /// Outputs the last forward() latched valid. No other output register
+  /// holds a valid flit (a stale one is cleared at the next slot start,
+  /// and fault injection only clears valid bits), so a link observer
+  /// need visit only these.
+  std::uint8_t latched_outputs() const { return latched_; }
+
   // ConfigTarget
   std::uint16_t cfg_id() const override { return cfg_id_; }
   bool cfg_is_ni() const override { return false; }
@@ -96,9 +102,17 @@ class Router : public sim::Component, public ConfigTarget {
 
  private:
   /// The slot engine dispatches forward() itself and skips a router whose
-  /// inputs carry nothing and whose latched_ is empty (see
-  /// daelite/slot_engine.hpp); it reads inputs_ and latched_ to decide.
+  /// present_inputs() is empty and whose latched_ is empty (see
+  /// daelite/slot_engine.hpp).
   friend class SlotEngine;
+
+  /// Inputs whose committed upstream register carries a valid flit.
+  std::uint8_t present_inputs() const {
+    std::uint8_t present = 0;
+    for (std::size_t i = 0; i < inputs_.size(); ++i)
+      if (inputs_[i] != nullptr && inputs_[i]->get().valid) present |= 1u << i;
+    return present;
+  }
 
   /// One slot of the crossbar — the forwarding rule every dispatcher runs
   /// (tick() on slot starts, hw::SlotEngine for the routers it drives).
@@ -106,8 +120,9 @@ class Router : public sim::Component, public ConfigTarget {
   /// it; an output latched_ valid that gets none has only its next valid
   /// bit cleared (its stale payload stays); every other output is left
   /// alone. A valid input no output took is a drop. Marks the written
-  /// outputs in dirty_ and the valid ones in latched_.
-  void forward(tdm::Slot slot);
+  /// outputs in dirty_ and the valid ones in latched_. `present` is
+  /// present_inputs(), computed once by the dispatcher.
+  void forward(tdm::Slot slot, std::uint8_t present);
 
   std::uint16_t cfg_id_;
   tdm::TdmParams params_;

@@ -1,6 +1,5 @@
 #include "daelite/slot_engine.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace daelite::hw {
@@ -44,13 +43,10 @@ void SlotEngine::tick() {
       kernel().set_stage_key(*it.ni); // its trace() records merge at its own index
       it.ni->slot_tick(slot);
     } else {
-      const auto& ins = it.router->inputs_;
-      const bool any_in = std::any_of(ins.begin(), ins.end(), [](const sim::Reg<Flit>* in) {
-        return in != nullptr && in->get().valid;
-      });
-      if (!any_in && it.router->latched_ == 0) continue; // idle neighbourhood: skip whole element
+      const std::uint8_t present = it.router->present_inputs();
+      if (present == 0 && it.router->latched_outputs() == 0) continue; // idle neighbourhood: skip whole element
       kernel().set_stage_key(*it.router);
-      it.router->forward(slot);
+      it.router->forward(slot, present);
     }
     ticked_.push_back(&it.element());
   }

@@ -1,5 +1,7 @@
 #include "soc/health.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "daelite/network.hpp"
@@ -45,7 +47,27 @@ HealthMonitor::HealthMonitor(sim::Kernel& k, std::string name, hw::DaeliteNetwor
       const hw::Ni& ni = net.ni(link.src);
       wl.reg = &ni.output_reg();
       wl.produced = &ni.stats().link_busy_slots;
+      ni_links_.push_back(l);
     }
+  }
+  for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
+    if (!topo.is_router(n)) continue;
+    WatchedRouter& wr = routers_.emplace_back();
+    wr.router = &net.router(n);
+    wr.out_link.fill(topo::kInvalidLink);
+    const std::vector<topo::LinkId>& out = topo.node(n).out_links;
+    assert(out.size() == wr.router->num_outputs() && out.size() <= wr.out_link.size());
+    std::copy(out.begin(), out.end(), wr.out_link.begin());
+  }
+}
+
+void HealthMonitor::observe(WatchedLink& wl) {
+  const hw::Flit& f = wl.reg->get();
+  if (!f.valid) return; // the injector dropped it
+  ++wl.health.observed;
+  for (std::size_t i = 0; i < f.num_words; ++i) {
+    if (!f.data_valid[i]) continue;
+    if (!hw::integrity_parity_ok(f.data[i], f.integrity[i])) ++wl.health.parity_errors;
   }
 }
 
@@ -54,15 +76,13 @@ void HealthMonitor::commit() {
   const sim::Cycle c = now();
   if (!params_.is_slot_start(c)) return; // fresh flits land at slot starts only
 
-  for (WatchedLink& wl : links_) {
-    const hw::Flit& f = wl.reg->get();
-    if (!f.valid) continue;
-    ++wl.health.observed;
-    for (std::size_t i = 0; i < f.num_words; ++i) {
-      if (!f.data_valid[i]) continue;
-      if (!hw::integrity_parity_ok(f.data[i], f.integrity[i])) ++wl.health.parity_errors;
-    }
-  }
+  // Walk the producers, not the links: only a latched router output or an
+  // NI output register can hold a valid flit.
+  for (const WatchedRouter& wr : routers_)
+    for (unsigned m = wr.router->latched_outputs(); m != 0; m &= m - 1)
+      observe(links_[wr.out_link[static_cast<std::size_t>(std::countr_zero(m))]]);
+  for (topo::LinkId l : ni_links_) observe(links_[l]);
+  assert(unlatched_outputs_invalid() && "a valid flit on a link the producer walk skipped");
 
   // Grid-aligned epoch boundaries: the loop coalesces epochs skipped by a
   // quiescent fast-forward (quiescent() guarantees they carried no
@@ -98,6 +118,15 @@ void HealthMonitor::evaluate_epoch() {
       wl.health.state = LinkState::kSuspect;
     }
   }
+}
+
+bool HealthMonitor::unlatched_outputs_invalid() const {
+  for (const WatchedRouter& wr : routers_) {
+    const unsigned latched = wr.router->latched_outputs();
+    for (std::size_t o = 0; o < wr.router->num_outputs(); ++o)
+      if (((latched >> o) & 1u) == 0 && wr.router->output_reg(o).get().valid) return false;
+  }
+  return true;
 }
 
 bool HealthMonitor::quiescent() const {

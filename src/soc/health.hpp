@@ -11,7 +11,12 @@
 // The monitor is constructed AFTER the injector, so its commit() runs last
 // in the cycle and observes exactly what downstream consumers will read.
 // Per slot it counts valid flits on each link register and verifies each
-// word's parity against the sideband. At epoch boundaries (grid-aligned so
+// word's parity against the sideband. It reads only the registers that can
+// hold one: the outputs each router latched valid this slot
+// (Router::latched_outputs()) and every NI's output register. Every other
+// router output is invalid — a stale one is cleared at the next slot
+// start, and the injector only clears valid bits, never sets them. At
+// epoch boundaries (grid-aligned so
 // verdict cycles are identical under both kernel schedulers) it compares:
 //
 //   missing = (produced delta) - (observed delta)   -> drop / kill faults
@@ -23,6 +28,7 @@
 // so the verdict cycle is independent of how many epoch evaluations a
 // quiescent fast-forward coalesced.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,6 +40,7 @@
 
 namespace daelite::hw {
 class DaeliteNetwork;
+class Router;
 }
 
 namespace daelite::soc {
@@ -113,13 +120,26 @@ class HealthMonitor : public sim::Component {
     std::uint64_t parity_at_eval = 0;
   };
 
+  /// A router and the link each output port drives (ports past
+  /// num_outputs() stay kInvalidLink).
+  struct WatchedRouter {
+    const hw::Router* router = nullptr;
+    std::array<topo::LinkId, 8> out_link;
+  };
+
+  void observe(WatchedLink& wl);
   void evaluate_epoch();
+  /// Every router output outside its latched mask holds no valid flit,
+  /// i.e. the producer walk in commit() missed nothing.
+  bool unlatched_outputs_invalid() const;
 
   tdm::TdmParams params_;
   Options options_;
   std::uint32_t epoch_cycles_ = 0; ///< resolved (nonzero, slot-aligned)
   sim::Cycle next_eval_ = 0;
   std::vector<WatchedLink> links_;
+  std::vector<WatchedRouter> routers_;  ///< every router, in node-id order
+  std::vector<topo::LinkId> ni_links_;  ///< links driven by an NI output register
   std::vector<DeadLinkEvent> dead_events_;
 };
 

@@ -1,6 +1,7 @@
 #include "soc/runner.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <map>
 #include <optional>
@@ -122,6 +123,93 @@ void report_network(analysis::NetworkReport& report, const Scenario& sc, const t
   report.health.lost_words = net.total_lost_words();
 
   accumulate_energy(report, sc, mesh, net);
+}
+
+/// One connection's traffic endpoints, resolved once per queue binding,
+/// with the gates that let the pump skip NI calls that cannot succeed. A
+/// refused tx_push stays refused until the source NI sends from that queue
+/// (its tx words_sent moves); an empty rx_pop stays empty until the
+/// destination NI queues a word (its rx words_received moves). Both
+/// counters move only in an NI's slot-start tick, so a pump pass right
+/// after a mid-slot cycle finds every gate closed (pump_can_move()).
+class PumpPort {
+ public:
+  /// (Re)bind to h's queues and open every gate: a reused queue id keeps
+  /// its old counters, so no earlier reading says anything about it.
+  void bind(hw::DaeliteNetwork& net, const hw::ConnectionHandle& h) {
+    src_ = &net.ni(h.conn.request.src_ni);
+    tx_q_ = h.src_tx_q;
+    tx_ = &src_->tx_stats(tx_q_);
+    refused_at_ = kOpen;
+    sinks_.clear();
+    for (std::size_t d = 0; d < h.dst_rx_qs.size(); ++d) {
+      hw::Ni& dst = net.ni(h.conn.request.dst_nis[d]);
+      sinks_.push_back({&dst, h.dst_rx_qs[d], &dst.rx_stats(h.dst_rx_qs[d]), kOpen});
+    }
+  }
+
+  /// Offer up to `limit` words, the k-th of this call being word(k);
+  /// returns how many the source queue took.
+  template <class Word>
+  std::uint64_t push(std::uint64_t limit, Word word) {
+    if (limit == 0) return 0;
+    if (tx_->words_sent == refused_at_) {
+      assert(src_->tx_space(tx_q_) == 0 && "a gated push would have been accepted");
+      return 0;
+    }
+    std::uint64_t n = 0;
+    while (n < limit && src_->tx_push(tx_q_, word(n))) ++n;
+    if (n < limit) refused_at_ = tx_->words_sent;
+    return n;
+  }
+
+  /// Pop every word waiting at each destination, calling on_word(d) per word.
+  template <class OnWord>
+  void drain(OnWord on_word) {
+    for (std::size_t d = 0; d < sinks_.size(); ++d) {
+      Sink& s = sinks_[d];
+      if (s.rx->words_received == s.drained_at) {
+        assert(s.ni->rx_level(s.q) == 0 && "a gated pop would have found a word");
+        continue;
+      }
+      while (s.ni->rx_pop(s.q)) on_word(d);
+      s.drained_at = s.rx->words_received;
+    }
+  }
+
+  /// True when push(limit, ..) and drain(..) would move no word.
+  bool idle(std::uint64_t limit) const {
+    if (limit != 0 && src_->tx_space(tx_q_) != 0) return false;
+    for (const Sink& s : sinks_)
+      if (s.ni->rx_level(s.q) != 0) return false;
+    return true;
+  }
+
+  /// Destination d's rx counters (integrity and delivery) of this binding.
+  const hw::Ni::ChannelStats& rx_stats(std::size_t d) const { return *sinks_[d].rx; }
+
+ private:
+  static constexpr std::uint64_t kOpen = std::numeric_limits<std::uint64_t>::max();
+  struct Sink {
+    hw::Ni* ni;
+    std::size_t q;
+    const hw::Ni::ChannelStats* rx;
+    std::uint64_t drained_at; ///< words_received when the queue was last emptied
+  };
+  hw::Ni* src_ = nullptr;
+  std::size_t tx_q_ = 0;
+  const hw::Ni::ChannelStats* tx_ = nullptr;
+  std::uint64_t refused_at_ = kOpen; ///< words_sent when a push was last refused
+  std::vector<Sink> sinks_;
+};
+
+/// False when no pump call can move a word this cycle: the NI counters the
+/// gates read move only in slot-start ticks, and the last executed cycle
+/// (now() - 1) was not one. A pass after the pump's own previous pass
+/// leaves every gate closed, so only a slot start, a pacer firing or a
+/// re-bound queue can open one.
+bool pump_can_move(const sim::Kernel& kernel, const tdm::TdmParams& params) {
+  return params.is_slot_start(kernel.now() - 1);
 }
 
 /// Execute a compiled DNN schedule: open layer 0, then per layer a
@@ -257,22 +345,24 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
           if (words < layer.traffic[i].words) return false;
       return true;
     };
-    std::vector<const hw::ConnectionHandle*> handles;
-    for (const workload::CompiledConnection& c : layer.traffic)
-      handles.push_back(&open.at(c.spec.name));
+    std::vector<PumpPort> ports(layer.traffic.size());
+    for (std::size_t i = 0; i < layer.traffic.size(); ++i)
+      ports[i].bind(net, open.at(layer.traffic[i].spec.name));
+    bool first = true;
     while (!done() && kernel.now() - start < sc.run_cycles) {
-      for (std::size_t i = 0; i < layer.traffic.size(); ++i) {
-        const workload::CompiledConnection& c = layer.traffic[i];
-        const hw::ConnectionHandle& h = *handles[i];
-        hw::Ni& src = net.ni(c.spec.src_ni);
-        while (pushed[i] < c.words &&
-               src.tx_push(h.src_tx_q, static_cast<std::uint32_t>(pushed[i] + 1)))
-          ++pushed[i];
-        for (std::size_t d = 0; d < h.dst_rx_qs.size(); ++d) {
-          hw::Ni& dst = net.ni(c.spec.dst_nis[d]);
-          while (dst.rx_pop(h.dst_rx_qs[d])) ++got[i][d];
+      if (first || pump_can_move(kernel, *params)) {
+        for (std::size_t i = 0; i < layer.traffic.size(); ++i) {
+          const std::uint64_t base = pushed[i];
+          pushed[i] += ports[i].push(layer.traffic[i].words - base, [base](std::uint64_t k) {
+            return static_cast<std::uint32_t>(base + k + 1);
+          });
+          ports[i].drain([&got, i](std::size_t d) { ++got[i][d]; });
         }
+      } else {
+        for (std::size_t i = 0; i < layer.traffic.size(); ++i)
+          assert(ports[i].idle(layer.traffic[i].words - pushed[i]));
       }
+      first = false;
       kernel.step();
     }
     out->stream_cycles = kernel.now() - start;
@@ -345,16 +435,18 @@ void fnv_word(std::uint64_t& h, std::uint64_t x) { h = (h ^ x) * 1099511628211ul
 /// compaction pass once a recovery wave settled. Every reservation change
 /// — adopt, re-route, preemption, compaction — goes through one
 /// alloc::ChurnService over the live allocator; this class only retires
-/// and reopens the hardware incarnations and keeps the report.
+/// and reopens the hardware incarnations (re-binding their pump ports) and
+/// keeps the report.
 class Recovery {
  public:
   Recovery(const RecoveryOptions& opt, const alloc::DimensionResult& dim,
            const topo::Topology& topo, sim::Kernel& kernel, hw::DaeliteNetwork& net,
            HealthMonitor& monitor, sim::Tracer* tr, analysis::NetworkReport& report,
-           std::vector<hw::ConnectionHandle>& handles,
+           std::vector<hw::ConnectionHandle>& handles, std::vector<PumpPort>& ports,
            std::vector<std::vector<std::uint64_t>>& delivered)
       : opt_(opt), dim_(dim), kernel_(kernel), net_(net), monitor_(monitor), tr_(tr),
-        report_(report), handles_(handles), delivered_(delivered), live_(topo, dim.params),
+        report_(report), handles_(handles), ports_(ports), delivered_(delivered),
+        live_(topo, dim.params),
         service_(live_, alloc::AdmissionControl{.preempt_best_effort = opt.preempt_best_effort}),
         rec_(handles.size()), rec_id_(tr ? tr->intern("recovery") : 0) {
     // The dimensioned allocation, adopted in index order (service id ==
@@ -370,8 +462,19 @@ class Recovery {
   /// Post-step poll: collect verdicts, quarantine, repair, advance repairs
   /// in flight, compact a settled wave. Pure bookkeeping on committed
   /// kernel state, so it is identical under both schedulers and any
-  /// --jobs count.
-  void poll() {
+  /// --jobs count. Returns true when it re-bound a connection's queues.
+  ///
+  /// Verdicts, NI integrity counters and monitor link states move only in
+  /// slot-start cycles, so the healthy connections' integrity alarm runs
+  /// only after one (or on the first poll after a connection turned
+  /// healthy, its baseline having moved), and a mid-slot poll with no
+  /// repair in flight and no compaction pending has nothing to do.
+  bool poll() {
+    const bool slot_step = dim_.params.is_slot_start(kernel_.now() - 1);
+    const bool alarm = slot_step || alarm_due_;
+    if (!alarm && in_flight_ == 0 && !compact_pending_) return false;
+    alarm_due_ = false;
+    rebound_ = false;
     for (const DeadLinkEvent& de : monitor_.take_dead_events()) {
       report_.recovery.dead_links.push_back({de.link, de.cycle, de.evidence});
       live_.quarantine_link(de.link);
@@ -382,11 +485,12 @@ class Recovery {
           start(i, de.link, "link_dead", de.cycle);
       }
     }
-    for (std::size_t i = 0; i < handles_.size(); ++i) advance(i);
+    for (std::size_t i = 0; i < handles_.size(); ++i) advance(i, alarm);
     if (compact_pending_ && settled()) {
       compact_pending_ = false;
       compaction_pass();
     }
+    return rebound_;
   }
 
   bool dead(std::size_t i) const { return rec_[i].phase == ConnRecovery::Phase::kDead; }
@@ -400,7 +504,7 @@ class Recovery {
     std::uint64_t lost = st.saved_lost;
     if (st.phase == ConnRecovery::Phase::kDead) return {corrupt, lost}; // queues freed
     for (std::size_t d = 0; d < delivered_[i].size(); ++d) {
-      const auto& rs = rx_stats(i, d);
+      const hw::Ni::ChannelStats& rs = ports_[i].rx_stats(d);
       corrupt += rs.corrupt_words - st.base_corrupt[d];
       lost += rs.lost_words - st.base_lost[d];
     }
@@ -411,8 +515,18 @@ class Recovery {
   const alloc::SlotAllocator& allocator() const { return live_; }
 
  private:
-  const hw::Ni::ChannelStats& rx_stats(std::size_t i, std::size_t d) const {
-    return net_.ni(handles_[i].conn.request.dst_nis[d]).rx_stats(handles_[i].dst_rx_qs[d]);
+  using Phase = ConnRecovery::Phase;
+
+  static bool in_flight(Phase p) { return p == Phase::kReconfiguring || p == Phase::kWaiting; }
+
+  /// Every phase change goes through here: it keeps the in-flight count
+  /// the mid-slot early return reads, and a connection turning healthy
+  /// arms the next poll's integrity alarm.
+  void set_phase(std::size_t i, Phase p) {
+    ConnRecovery& st = rec_[i];
+    in_flight_ = in_flight_ + (in_flight(p) ? 1 : 0) - (in_flight(st.phase) ? 1 : 0);
+    st.phase = p;
+    if (p == Phase::kHealthy) alarm_due_ = true;
   }
 
   std::uint64_t integrity_total(std::size_t i) const {
@@ -433,10 +547,9 @@ class Recovery {
   /// queues' integrity counters survive into the per-connection totals.
   void retire(std::size_t j) {
     ConnRecovery& st = rec_[j];
+    ports_[j].drain([this, j](std::size_t d) { ++delivered_[j][d]; });
     for (std::size_t d = 0; d < delivered_[j].size(); ++d) {
-      hw::Ni& dst = net_.ni(handles_[j].conn.request.dst_nis[d]);
-      while (dst.rx_pop(handles_[j].dst_rx_qs[d])) ++delivered_[j][d];
-      const auto& rs = rx_stats(j, d);
+      const hw::Ni::ChannelStats& rs = ports_[j].rx_stats(d);
       st.saved_corrupt += rs.corrupt_words - st.base_corrupt[d];
       st.saved_lost += rs.lost_words - st.base_lost[d];
     }
@@ -453,11 +566,13 @@ class Recovery {
     st.detected = ev.detected_cycle;
     st.abort_base = net_.config_module().aborted();
     handles_[i] = net_.open_connection(conn);
+    ports_[i].bind(net_, handles_[i]);
+    rebound_ = true;
     for (std::size_t d = 0; d < delivered_[i].size(); ++d) {
-      st.base_corrupt[d] = rx_stats(i, d).corrupt_words;
-      st.base_lost[d] = rx_stats(i, d).lost_words;
+      st.base_corrupt[d] = ports_[i].rx_stats(d).corrupt_words;
+      st.base_lost[d] = ports_[i].rx_stats(d).lost_words;
     }
-    st.phase = ConnRecovery::Phase::kReconfiguring;
+    set_phase(i, Phase::kReconfiguring);
     report_.recovery.events.push_back(std::move(ev));
   }
 
@@ -483,7 +598,7 @@ class Recovery {
     const std::vector<std::uint64_t>& victims = service_.last_preempted();
     for (std::uint64_t j : victims) {
       retire(j);
-      rec_[j].phase = ConnRecovery::Phase::kDead;
+      set_phase(j, Phase::kDead);
       ++report_.service.per_class[static_cast<std::size_t>(alloc::ServiceClass::kBestEffort)]
             .preempted;
     }
@@ -499,7 +614,7 @@ class Recovery {
       // No route around the quarantine: the connection stays down.
       st.event = report_.recovery.events.size();
       st.detected = detect_cycle;
-      st.phase = ConnRecovery::Phase::kDead;
+      set_phase(i, Phase::kDead);
       report_.recovery.events.push_back(std::move(ev));
       return;
     }
@@ -512,18 +627,20 @@ class Recovery {
   /// reservations stay in the schedule — outside the service, where no
   /// compaction or preemption can hand them to anyone else.
   void abandon(std::size_t i) {
-    rec_[i].phase = ConnRecovery::Phase::kDead;
+    set_phase(i, Phase::kDead);
     service_.tear_down(i);
     alloc::restore_connection(live_, handles_[i].conn);
   }
 
-  void advance(std::size_t i) {
+  /// One poll's step of connection i's state machine; `alarm` says whether
+  /// a healthy connection's integrity alarm inputs may have moved.
+  void advance(std::size_t i, bool alarm) {
     ConnRecovery& st = rec_[i];
     switch (st.phase) {
-      case ConnRecovery::Phase::kHealthy: {
+      case Phase::kHealthy: {
         // End-to-end integrity alarm: repair even without a dead-link
         // verdict, provided the monitor can pin a suspect on the route.
-        if (integrity_total(i) - st.alarm_base < opt_.integrity_threshold) break;
+        if (!alarm || integrity_total(i) - st.alarm_base < opt_.integrity_threshold) break;
         const auto suspects = monitor_.suspects_among(route_links(i));
         if (suspects.empty()) break; // not localizable (yet)
         for (topo::LinkId l : suspects)
@@ -531,18 +648,18 @@ class Recovery {
         start(i, suspects.front(), "integrity", kernel_.now());
         break;
       }
-      case ConnRecovery::Phase::kReconfiguring: {
+      case Phase::kReconfiguring: {
         if (net_.config_module().aborted() > st.abort_base ||
             kernel_.now() - st.detected > opt_.reconfig_timeout) {
           abandon(i);
         } else if (net_.config_idle()) {
           report_.recovery.events[st.event].reconfigured_cycle = kernel_.now();
           st.delivered_baseline = delivered_[i];
-          st.phase = ConnRecovery::Phase::kWaiting;
+          set_phase(i, Phase::kWaiting);
         }
         break;
       }
-      case ConnRecovery::Phase::kWaiting: {
+      case Phase::kWaiting: {
         for (std::size_t d = 0; d < delivered_[i].size(); ++d)
           if (delivered_[i][d] <= st.delivered_baseline[d]) return;
         analysis::RecoveryEvent& ev = report_.recovery.events[st.event];
@@ -554,24 +671,17 @@ class Recovery {
         if (tr_)
           tr_->record(kernel_.now(), rec_id_, sim::TraceEvent::kRecoveryEnd, st.event,
                       ev.restored_cycle - ev.detected_cycle);
-        st.phase = ConnRecovery::Phase::kHealthy;
+        set_phase(i, Phase::kHealthy);
         break;
       }
-      case ConnRecovery::Phase::kDead:
+      case Phase::kDead:
         break;
     }
   }
 
   /// Every repair settled and the config stream drained: the compaction
   /// pass sees a stable allocator and an idle tree.
-  bool settled() const {
-    if (!net_.config_idle()) return false;
-    for (const ConnRecovery& st : rec_)
-      if (st.phase == ConnRecovery::Phase::kReconfiguring ||
-          st.phase == ConnRecovery::Phase::kWaiting)
-        return false;
-    return true;
-  }
+  bool settled() const { return in_flight_ == 0 && net_.config_idle(); }
 
   /// Slot compaction after a recovery wave (ChurnService::compact): every
   /// accepted move rides the same reconfigure/wait machinery as a repair
@@ -609,12 +719,16 @@ class Recovery {
   sim::Tracer* tr_;
   analysis::NetworkReport& report_;
   std::vector<hw::ConnectionHandle>& handles_;
+  std::vector<PumpPort>& ports_;
   std::vector<std::vector<std::uint64_t>>& delivered_;
   alloc::SlotAllocator live_;
   alloc::ChurnService service_;
   std::vector<ConnRecovery> rec_;
   std::uint32_t rec_id_;
   bool compact_pending_ = false; ///< a recovery wave ran; compact once it settles
+  std::size_t in_flight_ = 0;    ///< connections reconfiguring or waiting
+  bool alarm_due_ = true;        ///< run the integrity alarm at the next poll
+  bool rebound_ = false;         ///< this poll re-bound a connection's queues
 };
 
 } // namespace
@@ -797,47 +911,61 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
   }
 
   // Saturated traffic: sources push as fast as the NI accepts, sinks drain
-  // every cycle; delivered words per destination measure achieved bandwidth.
+  // every word the cycle after it arrives; delivered words per destination
+  // measure achieved bandwidth.
   std::vector<std::vector<std::uint64_t>> delivered(handles.size());
   for (std::size_t i = 0; i < handles.size(); ++i)
     delivered[i].assign(handles[i].conn.request.dst_nis.size(), 0);
 
+  std::vector<PumpPort> ports(handles.size());
+  for (std::size_t i = 0; i < handles.size(); ++i) ports[i].bind(net, handles[i]);
+
   std::optional<Recovery> recovery;
   if (monitor)
     recovery.emplace(spec.recovery, *dim, mesh.topo, kernel, net, *monitor, tr, report, handles,
-                     delivered);
+                     ports, delivered);
 
+  // A pass runs when a word can move (pump_can_move), when a pacer fires
+  // (next_pace: the earliest multiple of a live pacer's period after the
+  // last pass) or when recovery re-bound a queue; any other pass would
+  // find every gate closed and draw no pacer.
+  const auto one = [](std::uint64_t) { return std::uint32_t{1}; }; // every pushed word
+  bool rebound = true;
+  sim::Cycle next_pace = 0;
   for (sim::Cycle c = 0; c < sc.run_cycles; ++c) {
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (recovery && recovery->dead(i)) continue; // queues freed
-      hw::Ni& src = net.ni(handles[i].conn.request.src_ni);
-      Pacer& p = pacers[i];
-      if (p.period == 0) {
-        while (src.tx_push(handles[i].src_tx_q, 1)) {
-        }
-      } else {
-        if (c % p.period == 0) {
-          if (p.bursty) {
+    if (rebound || c >= next_pace || pump_can_move(kernel, dim->params)) {
+      next_pace = sim::kNoCycle;
+      for (std::size_t i = 0; i < handles.size(); ++i) {
+        if (recovery && recovery->dead(i)) continue; // queues freed
+        Pacer& p = pacers[i];
+        if (p.period == 0) {
+          ports[i].push(std::numeric_limits<std::uint64_t>::max(), one);
+        } else {
+          if (c % p.period == 0) {
+            if (p.bursty) {
+              if (p.on) {
+                if (p.rng.chance(0.10)) p.on = false; // BurstyWriter's p_stop
+              } else if (p.rng.chance(0.05)) {
+                p.on = true; // BurstyWriter's p_start
+              }
+            }
             if (p.on) {
-              if (p.rng.chance(0.10)) p.on = false; // BurstyWriter's p_stop
-            } else if (p.rng.chance(0.05)) {
-              p.on = true; // BurstyWriter's p_start
+              p.owed += p.burst;
+              p.offered += p.burst;
             }
           }
-          if (p.on) {
-            p.owed += p.burst;
-            p.offered += p.burst;
-          }
+          p.owed -= ports[i].push(p.owed, one);
+          next_pace = std::min(next_pace, (c / p.period + 1) * p.period);
         }
-        while (p.owed > 0 && src.tx_push(handles[i].src_tx_q, 1)) --p.owed;
+        ports[i].drain([&delivered, i](std::size_t d) { ++delivered[i][d]; });
       }
-      for (std::size_t d = 0; d < delivered[i].size(); ++d) {
-        hw::Ni& dst = net.ni(handles[i].conn.request.dst_nis[d]);
-        while (dst.rx_pop(handles[i].dst_rx_qs[d])) ++delivered[i][d];
-      }
+    } else {
+      for (std::size_t i = 0; i < handles.size(); ++i)
+        assert((recovery && recovery->dead(i)) ||
+               ports[i].idle(pacers[i].period == 0 ? 1 : pacers[i].owed));
     }
     kernel.step();
-    if (recovery) recovery->poll();
+    rebound = recovery && recovery->poll();
   }
   phase_mark(sim::TraceEvent::kPhaseEnd, "traffic");
 

@@ -1,6 +1,7 @@
 // Tests for the self-healing subsystem: integrity sideband helpers,
-// targeted fault-plan parsing, link quarantine in the allocator, and the
-// end-to-end detect -> quarantine -> re-route -> restore flow through
+// targeted fault-plan parsing, link quarantine in the allocator, the
+// health monitor's producer walk against a full walk of every link, and
+// the end-to-end detect -> quarantine -> re-route -> restore flow through
 // soc::run_scenario, including its determinism across schedulers and
 // repeated runs.
 
@@ -11,9 +12,13 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/dimension.hpp"
+#include "alloc/usecase.hpp"
 #include "daelite/flit.hpp"
+#include "daelite/network.hpp"
 #include "sim/fault.hpp"
 #include "sim/json.hpp"
+#include "sim/random.hpp"
+#include "soc/health.hpp"
 #include "soc/runner.hpp"
 #include "topology/generators.hpp"
 
@@ -112,6 +117,236 @@ TEST(Quarantine, AllocationAvoidsQuarantinedLinks) {
   a.release(*detour);
   EXPECT_EQ(a.allocated_channels(), 0u);
   EXPECT_DOUBLE_EQ(a.schedule().utilization(), 0.0);
+}
+
+// --- Health monitor: producer walk vs full link walk ------------------------------
+
+/// The monitor as it was before it walked producers: every data link's
+/// register read at every slot start, the same epoch evaluation. Register
+/// it after the HealthMonitor so both commit after the injector and see
+/// the same corrupted values.
+class FullWalkMonitor final : public sim::Component {
+ public:
+  FullWalkMonitor(sim::Kernel& k, hw::DaeliteNetwork& net, soc::HealthMonitor::Options o)
+      : sim::Component(k, "full_walk", sim::Cadence{net.options().tdm.words_per_slot, 0}),
+        params_(net.options().tdm), options_(o) {
+    epoch_ = o.epoch_cycles != 0 ? o.epoch_cycles : params_.wheel_cycles();
+    const std::uint32_t w = params_.words_per_slot;
+    epoch_ = (epoch_ + w - 1) / w * w;
+    next_eval_ = (now() / epoch_ + 1) * epoch_;
+    const topo::Topology& topo = net.topology();
+    links_.resize(topo.link_count());
+    for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+      const topo::Link& link = topo.link(l);
+      if (topo.is_router(link.src)) {
+        links_[l].reg = &net.router(link.src).output_reg(link.src_port);
+        links_[l].produced = &net.router(link.src).forwarded_on(link.src_port);
+      } else {
+        links_[l].reg = &net.ni(link.src).output_reg();
+        links_[l].produced = &net.ni(link.src).stats().link_busy_slots;
+      }
+    }
+  }
+
+  void tick() override {}
+  void commit() override {
+    sim::Component::commit();
+    if (!params_.is_slot_start(now())) return;
+    for (Link& wl : links_) {
+      const hw::Flit& f = wl.reg->get();
+      if (!f.valid) continue;
+      ++wl.health.observed;
+      for (std::size_t i = 0; i < f.num_words; ++i)
+        if (f.data_valid[i] && !hw::integrity_parity_ok(f.data[i], f.integrity[i]))
+          ++wl.health.parity_errors;
+    }
+    for (; now() >= next_eval_; next_eval_ += epoch_) {
+      for (topo::LinkId l = 0; l < links_.size(); ++l) {
+        Link& wl = links_[l];
+        wl.health.produced = *wl.produced;
+        wl.health.missing += (*wl.produced - wl.produced_at_eval) -
+                             (wl.health.observed - wl.observed_at_eval);
+        wl.produced_at_eval = *wl.produced;
+        wl.observed_at_eval = wl.health.observed;
+        wl.parity_at_eval = wl.health.parity_errors;
+        if (wl.health.state == soc::LinkState::kDead) continue;
+        if (wl.health.evidence() >= options_.dead_threshold) {
+          wl.health.state = soc::LinkState::kDead;
+          dead.push_back({l, now(), wl.health.evidence()});
+        } else if (wl.health.evidence() >= options_.suspect_threshold) {
+          wl.health.state = soc::LinkState::kSuspect;
+        }
+      }
+    }
+  }
+  bool quiescent() const override {
+    for (const Link& wl : links_)
+      if (wl.reg->get().valid || *wl.produced != wl.produced_at_eval ||
+          wl.health.observed != wl.observed_at_eval ||
+          wl.health.parity_errors != wl.parity_at_eval)
+        return false;
+    return true;
+  }
+
+  const soc::LinkHealth& link(topo::LinkId l) const { return links_[l].health; }
+  std::vector<soc::DeadLinkEvent> dead;
+
+ private:
+  struct Link {
+    const sim::Reg<hw::Flit>* reg = nullptr;
+    const std::uint64_t* produced = nullptr;
+    soc::LinkHealth health;
+    std::uint64_t produced_at_eval = 0;
+    std::uint64_t observed_at_eval = 0;
+    std::uint64_t parity_at_eval = 0;
+  };
+  tdm::TdmParams params_;
+  soc::HealthMonitor::Options options_;
+  std::uint32_t epoch_ = 0;
+  sim::Cycle next_eval_ = 0;
+  std::vector<Link> links_;
+};
+
+/// What one monitored run saw, per link and per verdict.
+struct MonitorView {
+  std::vector<soc::LinkHealth> links;
+  std::vector<soc::DeadLinkEvent> dead;
+};
+
+bool same_health(const soc::LinkHealth& a, const soc::LinkHealth& b) {
+  return a.produced == b.produced && a.observed == b.observed && a.missing == b.missing &&
+         a.parity_errors == b.parity_errors && a.state == b.state;
+}
+
+bool same_dead(const std::vector<soc::DeadLinkEvent>& a, const std::vector<soc::DeadLinkEvent>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].link != b[i].link || a[i].cycle != b[i].cycle || a[i].evidence != b[i].evidence)
+      return false;
+  return true;
+}
+
+/// Saturated unicast and multicast traffic on a 4x4 mesh under `plan`, with
+/// the monitor and the full-walk reference side by side. Every cycle's
+/// monitor verdicts go into the returned view; the reference's per-link
+/// health and verdicts must match it exactly (checked here).
+MonitorView run_monitors(const sim::FaultPlan& plan, soc::HealthMonitor::Options mo,
+                         sim::Scheduler sched, std::uint32_t shards,
+                         std::vector<topo::LinkId>* routed = nullptr) {
+  topo::Mesh mesh = topo::make_mesh(4, 4);
+  sim::Kernel kernel(sched);
+  hw::DaeliteNetwork::Options opt;
+  opt.tdm = tdm::daelite_params(16);
+  opt.cfg_root = mesh.ni(0, 0);
+  opt.shards = shards;
+  hw::DaeliteNetwork net(kernel, mesh.topo, opt);
+  sim::FaultInjector injector(kernel, "fault", plan);
+  net.attach_fault_lines(injector);
+  soc::HealthMonitor monitor(kernel, "health", net, mo);
+  FullWalkMonitor reference(kernel, net, mo);
+
+  alloc::SlotAllocator allocator(mesh.topo, opt.tdm);
+  alloc::UseCase uc;
+  uc.connections.push_back({"u0", mesh.ni(0, 0), {mesh.ni(3, 3)}, 2, 1});
+  uc.connections.push_back({"u1", mesh.ni(3, 0), {mesh.ni(0, 3)}, 2, 1});
+  uc.connections.push_back({"u2", mesh.ni(1, 2), {mesh.ni(2, 1)}, 1, 1});
+  uc.connections.push_back({"m0", mesh.ni(1, 1), {mesh.ni(3, 1), mesh.ni(0, 2), mesh.ni(2, 3)}, 2, 0});
+  uc.connections.push_back({"m1", mesh.ni(2, 0), {mesh.ni(0, 0), mesh.ni(3, 2)}, 1, 0});
+  const auto allocation = alloc::allocate_use_case(allocator, uc);
+  EXPECT_TRUE(allocation.has_value());
+  if (!allocation) return {};
+  std::vector<hw::ConnectionHandle> handles;
+  for (const alloc::AllocatedConnection& c : allocation->connections) {
+    handles.push_back(net.open_connection(c));
+    if (routed != nullptr) {
+      for (const alloc::RouteEdge& e : c.request.edges) routed->push_back(e.link);
+      for (const alloc::RouteEdge& e : c.response.edges) routed->push_back(e.link);
+    }
+  }
+  EXPECT_NE(net.run_config(), sim::kNoCycle);
+
+  MonitorView view;
+  for (int c = 0; c < 6000; ++c) {
+    for (const hw::ConnectionHandle& h : handles) {
+      while (net.ni(h.conn.request.src_ni).tx_push(h.src_tx_q, 0x5A5A0000u + c)) {
+      }
+      for (std::size_t d = 0; d < h.dst_rx_qs.size(); ++d)
+        while (net.ni(h.conn.request.dst_nis[d]).rx_pop(h.dst_rx_qs[d])) {
+        }
+    }
+    kernel.step();
+    for (const soc::DeadLinkEvent& de : monitor.take_dead_events()) view.dead.push_back(de);
+  }
+  for (topo::LinkId l = 0; l < monitor.link_count(); ++l) {
+    view.links.push_back(monitor.link(l));
+    EXPECT_TRUE(same_health(monitor.link(l), reference.link(l))) << "link " << l;
+  }
+  EXPECT_TRUE(same_dead(view.dead, reference.dead));
+  return view;
+}
+
+TEST(HealthMonitor, ProducerWalkMatchesFullLinkWalkUnderRandomFaultPlans) {
+  // Seeded random plans of nth-word drops and flips (class-wide and on one
+  // routed link) and kill windows on routed links, each run under the
+  // stride scheduler, the reference scheduler and two shards: per-link
+  // evidence and every verdict (link, cycle, evidence) must equal a full
+  // walk of all links, and the three runs must agree.
+  std::vector<topo::LinkId> routed;
+  run_monitors(sim::FaultPlan{}, {}, sim::Scheduler::kStride, 1, &routed);
+  ASSERT_FALSE(routed.empty());
+  std::uint64_t dead = 0, parity = 0, missing = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sim::Xoshiro256 rng(seed);
+    sim::FaultPlan plan;
+    plan.seed = seed;
+    const auto any_routed = [&] {
+      return static_cast<std::int64_t>(routed[rng.below(routed.size())]);
+    };
+    for (std::uint64_t n = 2 + rng.below(5); n > 0; --n) {
+      sim::FaultDirective d;
+      d.cls = sim::FaultClass::kData;
+      switch (rng.below(3)) {
+        case 0:
+          d.kind = sim::FaultDirective::Kind::kDrop;
+          d.line_index = rng.chance(0.5) ? any_routed() : -1;
+          d.nth = rng.below(600);
+          break;
+        case 1:
+          d.kind = sim::FaultDirective::Kind::kFlip;
+          d.line_index = rng.chance(0.5) ? any_routed() : -1;
+          d.nth = rng.below(600);
+          d.bit = static_cast<std::uint32_t>(rng.below(64));
+          break;
+        default:
+          d.kind = sim::FaultDirective::Kind::kKill;
+          d.line_index = any_routed();
+          d.from = 300 + rng.below(4000);
+          d.to = rng.chance(0.5) ? sim::kNoCycle : d.from + 50 + rng.below(1500);
+          break;
+      }
+      plan.directives.push_back(d);
+    }
+    soc::HealthMonitor::Options mo;
+    mo.epoch_cycles = static_cast<std::uint32_t>(rng.below(3) * 40); // 0: one wheel
+    const MonitorView stride = run_monitors(plan, mo, sim::Scheduler::kStride, 1);
+    const MonitorView reference = run_monitors(plan, mo, sim::Scheduler::kReference, 1);
+    const MonitorView sharded = run_monitors(plan, mo, sim::Scheduler::kStride, 2);
+    ASSERT_EQ(stride.links.size(), reference.links.size()) << "seed " << seed;
+    ASSERT_EQ(stride.links.size(), sharded.links.size()) << "seed " << seed;
+    for (std::size_t l = 0; l < stride.links.size(); ++l) {
+      EXPECT_TRUE(same_health(stride.links[l], reference.links[l])) << "seed " << seed << " link " << l;
+      EXPECT_TRUE(same_health(stride.links[l], sharded.links[l])) << "seed " << seed << " link " << l;
+      parity += stride.links[l].parity_errors;
+      missing += stride.links[l].missing;
+    }
+    EXPECT_TRUE(same_dead(stride.dead, reference.dead)) << "seed " << seed;
+    EXPECT_TRUE(same_dead(stride.dead, sharded.dead)) << "seed " << seed;
+    dead += stride.dead.size();
+  }
+  // The plans must exercise every kind of evidence, or the walk is untested.
+  EXPECT_GT(dead, 0u);
+  EXPECT_GT(parity, 0u);
+  EXPECT_GT(missing, 0u);
 }
 
 // --- End-to-end recovery through run_scenario --------------------------------------
